@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, InternalInvariantError
-from .exact_linalg import IntMatrix, minor_gcd, rank, smith_normal_form, solve_integer
+from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,11 @@ class AbelianPresentation:
             raise InputError(
                 f"relation matrix has {self.relations.rows} rows for {self.generators} generators"
             )
+
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        """The Smith decomposition U @ relations @ V == D, eliminated once on first use."""
+        return smith_normal_form(self.relations)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ def _check_element(p: AbelianPresentation, e: ClassElement):
 
 def structure(p: AbelianPresentation) -> GroupStructure:
     """Invariant-factor decomposition of the presented group."""
-    snf = smith_normal_form(p.relations)
+    snf = p.smith
     return GroupStructure(
         free_rank=p.generators - snf.rank,
         torsion_factors=tuple(f for f in snf.invariant_factors if f > 1),
@@ -92,12 +98,9 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
     if not 0 <= i <= p.generators:
         raise InputError(f"Fitting index {i} out of range for {p.generators} generators")
     k = p.generators - i
-    if k == 0:
-        return 1
-    if k > p.relations.cols:
-        # fewer relations than the requested minor size: the ideal is zero
+    if k > p.smith.rank:
         return 0
-    return minor_gcd(p.relations, k)
+    return math.prod(p.smith.invariant_factors[:k])
 
 
 def quotient_by(p: AbelianPresentation, e: ClassElement) -> AbelianPresentation:
@@ -107,9 +110,14 @@ def quotient_by(p: AbelianPresentation, e: ClassElement) -> AbelianPresentation:
 
 
 def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
-    """Whether ``e`` is trivial, i.e. lies in the integer span of the relations."""
+    """Whether ``e`` is trivial, i.e. lies in the integer span of the relations.
+
+    With U A V = D that holds when d_i | (U e)_i and U e vanishes past the rank.
+    """
     _check_element(p, e)
-    return solve_integer(p.relations, e.coords) is not None
+    snf = p.smith
+    c = snf.U.mul_vector(e.coords)
+    return all(x % f == 0 for x, f in zip(c, snf.invariant_factors)) and not any(c[snf.rank :])
 
 
 def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
@@ -117,15 +125,26 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
 
     Let r be the rank of the quotient by ``omega``.  The result is 0 when
     the r-th Fitting numbers of the group and of the quotient agree, and
-    the r-th Fitting number of the quotient otherwise.  The result is 0
-    exactly when ``omega`` is the zero class; the two routes are checked
-    against each other and a mismatch fails loudly.
+    the r-th Fitting number of the quotient otherwise.  Both come from the
+    group's one Smith decomposition U A V = D, with invariant factors
+    f_1 | ... | f_s: U [A | omega] diag(V, 1) = [D | c] with c = U omega.
+    Let P = f_1 ... f_s and t = gcd(c_{s+1}, ...).  If t != 0, omega raises
+    the rank and d = P t.  Otherwise the quotient's Fitting number is
+    F = gcd(P, c_i P / f_i for i <= s), and d = 0 if F = P, else d = F.
+
+    The result is 0 exactly when ``omega`` is the zero class; the two routes
+    are checked against each other and a mismatch fails loudly.
     """
-    reduced = quotient_by(p, omega)
-    r = p.generators - rank(reduced.relations)
-    fit_full = fitting_number(p, r)
-    fit_reduced = fitting_number(reduced, r)
-    d = 0 if fit_full == fit_reduced else fit_reduced
+    _check_element(p, omega)
+    snf = p.smith
+    c = snf.U.mul_vector(omega.coords)
+    full = math.prod(snf.invariant_factors)
+    t = math.gcd(*c[snf.rank :])
+    if t:
+        d = full * t
+    else:
+        reduced = math.gcd(full, *(x * (full // f) for x, f in zip(c, snf.invariant_factors)))
+        d = 0 if reduced == full else reduced
     if (d == 0) != is_zero_class(p, omega):
         raise InternalInvariantError(
             "Fitting-ideal torsion number and membership test disagree "

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -102,7 +101,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise InputError(f"vector of length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
 
     def append_column(self, col: Sequence[int]) -> "IntMatrix":
         if len(col) != self.rows:
@@ -177,7 +176,15 @@ class SmithDecomposition:
     rank: int
 
 
-def _smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form of ``A`` with both unimodular transforms.
+
+    Total and deterministic; zero-dimensional matrices yield empty
+    decompositions.
+
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors
+    (1, 6)
+    """
     m, n = A.rows, A.cols
     d = A.to_lists()
     u = IntMatrix.identity(m).to_lists()
@@ -293,27 +300,6 @@ def _smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     if U @ A @ V != D:
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
     return SmithDecomposition(U=U, D=D, V=V, invariant_factors=factors, rank=rank)
-
-
-@lru_cache(maxsize=1024)
-def _smith_cached(A: IntMatrix) -> SmithDecomposition:
-    return _smith_normal_form(A)
-
-
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of ``A`` with both unimodular transforms.
-
-    Total and deterministic; zero-dimensional matrices yield empty
-    decompositions.
-
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors
-    (1, 6)
-    """
-    return _smith_cached(A)
-
-
-# The uncached algorithm, exposed for determinism tests.
-smith_normal_form.__wrapped__ = _smith_normal_form
 
 
 def rank(A: IntMatrix) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import networkx as nx
 
@@ -189,20 +189,24 @@ def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:
     return chains
 
 
+def disjoint_chain_pairs(chains: Sequence[tuple]) -> Iterator[tuple]:
+    """Element-disjoint pairs (chains[a], chains[b]) with a < b, lazily, ordered by (a, b)."""
+    for a, first in enumerate(chains):
+        members = set(first)
+        for second in chains[a + 1 :]:
+            if members.isdisjoint(second):
+                yield first, second
+
+
 def disjoint_maximal_chain_pair(
     poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT
 ) -> Optional[ChainPair]:
     """First element-disjoint pair of maximal chains, if any exists."""
-    chains = maximal_chains(poset, limit)
-    for a in range(len(chains)):
-        first = set(chains[a])
-        for b in range(a + 1, len(chains)):
-            if first.isdisjoint(chains[b]):
-                return ChainPair(
-                    first=tuple(poset.labels[i] for i in chains[a]),
-                    second=tuple(poset.labels[i] for i in chains[b]),
-                )
-    return None
+    pair = next(disjoint_chain_pairs(maximal_chains(poset, limit)), None)
+    if pair is None:
+        return None
+    first, second = (tuple(poset.labels[i] for i in chain) for chain in pair)
+    return ChainPair(first=first, second=second)
 
 
 def two_chains_poset(a: int, b: int) -> Poset:

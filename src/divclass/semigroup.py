@@ -26,12 +26,11 @@ from .abelian import (
     GroupStructure,
     element_gcd,
     free_presentation,
-    is_zero_class,
     structure,
     torsion_number,
 )
 from .errors import InputError
-from .exact_linalg import IntMatrix, smith_normal_form
+from .exact_linalg import IntMatrix
 
 
 def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -> tuple:
@@ -62,8 +61,8 @@ def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -
 class ConeDescription:
     """Facet support forms of a positive rational cone in Z^dim.
 
-    Every form must be nonzero and primitive; when an interior point is
-    given, every form must be strictly positive on it.
+    Every form must be nonzero, primitive and listed once; when an
+    interior point is given, every form must be strictly positive on it.
     """
 
     dim: int
@@ -82,6 +81,8 @@ class ConeDescription:
                 raise InputError("the zero vector is not a support form")
             if math.gcd(*(abs(x) for x in f)) != 1:
                 raise InputError(f"form {f} is not primitive; divide out the gcd")
+        if len(set(forms)) != len(forms):
+            raise InputError("a form is listed more than once; each facet is one prime class")
         if interior_point is not None:
             interior_point = tuple(operator.index(x) for x in interior_point)
             if len(interior_point) != dim:
@@ -128,12 +129,11 @@ def cone_report(cone: ConeDescription) -> ClassGroupReport:
     group = structure(presentation)
     canonical = ClassElement((1,) * r)
     d = torsion_number(presentation, canonical)
-    gorenstein = is_zero_class(presentation, canonical)
     basis_coords = None
     if not group.torsion_factors:
         # Left Smith transform sends generator coordinates to a split basis;
         # the free coordinates are the ones past the relation rank.
-        snf = smith_normal_form(presentation.relations)
+        snf = presentation.smith
         basis_coords = tuple(snf.U.mul_vector(canonical.coords)[snf.rank :])
     return ClassGroupReport(
         num_height_one_primes=r,
@@ -141,7 +141,7 @@ def cone_report(cone: ConeDescription) -> ClassGroupReport:
         canonical=canonical,
         canonical_in_basis=basis_coords,
         torsion_number=d,
-        gorenstein=gorenstein,
+        gorenstein=(d == 0),
         pure=None,
     )
 

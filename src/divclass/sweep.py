@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, InternalInvariantError
 from .joinmeet import choose_tree, class_expressions, joinmeet_report
-from .poset import Poset, bound, build_poset, maximal_chains
+from .poset import Poset, bound, build_poset, disjoint_chain_pairs, maximal_chains
 
 CHECKS = (
     "report_consistency",  # report builds; internal cross-checks hold
@@ -111,8 +111,7 @@ def run_sweep(count: int, max_n: int, seed: int, chain_limit: int = 10**5) -> Sw
             continue
         summary.record("report_consistency", True, index, poset)
 
-        extension = bound(poset)
-        expected_rank = len(extension.edges) - (poset.n + 1)
+        expected_rank = report.num_height_one_primes - (poset.n + 1)
         summary.record(
             "rank_formula",
             report.group.free_rank == expected_rank and not report.group.torsion_factors,
@@ -121,6 +120,7 @@ def run_sweep(count: int, max_n: int, seed: int, chain_limit: int = 10**5) -> Sw
             f"got {report.group}, expected free rank {expected_rank}",
         )
 
+        extension = bound(poset)
         expr = class_expressions(extension, choose_tree(extension))
         summary.record(
             "cycle_coefficients",
@@ -138,22 +138,11 @@ def run_sweep(count: int, max_n: int, seed: int, chain_limit: int = 10**5) -> Sw
             f"d={report.torsion_number}, pure={report.pure}",
         )
 
-        chains = maximal_chains(poset, chain_limit)
         d = report.torsion_number
-        bad_gap = None
-        for a in range(len(chains)):
-            first = set(chains[a])
-            for b in range(a + 1, len(chains)):
-                if not first.isdisjoint(chains[b]):
-                    continue
-                gap = abs(len(chains[a]) - len(chains[b]))
-                # d divides gap, where d = 0 divides only 0
-                divides = (gap == 0) if d == 0 else (gap % d == 0)
-                if not divides:
-                    bad_gap = gap
-                    break
-            if bad_gap is not None:
-                break
+        pairs = disjoint_chain_pairs(maximal_chains(poset, chain_limit))
+        gaps = (abs(len(first) - len(second)) for first, second in pairs)
+        # the first gap that d fails to divide, where d = 0 divides only 0
+        bad_gap = next((gap for gap in gaps if (gap % d if d else gap)), None)
         summary.record(
             "chain_divisibility",
             bad_gap is None,

@@ -17,7 +17,7 @@ from divclass import (
 )
 from divclass.abelian import element_gcd, free_presentation
 
-from oracles import cyclic_quotient_order
+from oracles import brute_minor_gcd, cyclic_quotient_order
 
 
 def presentation(columns, generators=None):
@@ -180,3 +180,42 @@ def test_presentation_validation():
         AbelianPresentation(3, IntMatrix.identity(2))
     with pytest.raises(InputError):
         AbelianPresentation(-1, IntMatrix.zeros(0, 0))
+
+
+def brute_torsion_number(rows, omega):
+    """The definition of d, from minor gcds of A and of [A | omega] alone."""
+    augmented = [row + [w] for row, w in zip(rows, omega)]
+    # Fitting index r = g - rank([A | omega]), i.e. minors of size rank([A | omega])
+    k = max(k for k in range(len(rows) + 1) if brute_minor_gcd(augmented, k))
+    fit_full = brute_minor_gcd(rows, k)
+    fit_reduced = brute_minor_gcd(augmented, k)
+    return 0 if fit_full == fit_reduced else fit_reduced
+
+
+def test_torsion_number_matches_minor_gcd_definition():
+    # torsion_number reads d off one Smith decomposition of A and the column
+    # U omega; the oracle eliminates nothing.  Cover the branch where omega
+    # raises the rank (t != 0) and, at equal rank (t = 0), both omega in the
+    # span of the relations and omega nonzero in the group.
+    rng = random.Random(31)
+    seen = {"raises_rank": 0, "zero_class": 0, "nonzero_torsion": 0}
+    for _ in range(400):
+        g = rng.randint(1, 4)
+        m = rng.randint(0, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(g)]
+        A = IntMatrix.from_rows(rows, cols=m)
+        if rng.random() < 0.3:
+            omega = list(A.mul_vector([rng.randint(-2, 2) for _ in range(m)]))
+        else:
+            omega = [rng.randint(-5, 5) for _ in range(g)]
+        d = brute_torsion_number(rows, omega)
+        assert torsion_number(AbelianPresentation(g, A), ClassElement(omega)) == d
+        rank_a = max(k for k in range(g + 1) if brute_minor_gcd(rows, k))
+        augmented = [row + [w] for row, w in zip(rows, omega)]
+        if brute_minor_gcd(augmented, rank_a + 1):
+            seen["raises_rank"] += 1
+        elif d == 0:
+            seen["zero_class"] += 1
+        else:
+            seen["nonzero_torsion"] += 1
+    assert min(seen.values()) >= 30, seen

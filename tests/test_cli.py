@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -81,6 +82,15 @@ def test_analyze_cone_with_interior_point(capsys, monkeypatch):
     )
     code3, _, err = run_cli(capsys, ["analyze"], stdin=bad, monkeypatch=monkeypatch)
     assert code3 == 1 and "interior" in err
+
+
+def test_analyze_repeated_form_is_input_error(capsys, monkeypatch):
+    # veronese_cone(3, 2) with its last form listed twice
+    forms = [[1, 0, 0], [0, 1, 0], [-1, -1, 2], [-1, -1, 2]]
+    payload = json.dumps({"mode": "cone", "dim": 3, "forms": forms})
+    code, out, err = run_cli(capsys, ["analyze"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert "more than once" in err
 
 
 def test_analyze_empty_poset(capsys, monkeypatch):
@@ -249,10 +259,16 @@ def test_unknown_flag_is_input_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same divclass as this test, installed or not
+    import divclass
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divclass.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "divclass", "family", "determinantal", "--m", "2", "--n", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["torsion_number"] == "3"

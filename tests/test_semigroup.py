@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -14,8 +15,10 @@ from divclass import (
     normalize_form,
     segre_veronese_cone,
     support_forms,
+    two_chains_poset,
     veronese_cone,
 )
+from divclass import exact_linalg
 from divclass.semigroup import canonical_coordinate_gcd
 from divclass.sweep import random_poset
 
@@ -40,6 +43,15 @@ def test_cone_description_validation():
         ConeDescription(2, [(1, 0, 0)])
     cone = ConeDescription(2, [(1, 0), (-1, 2)], interior_point=(1, 1))
     assert cone.forms == ((1, 0), (-1, 2))
+
+
+def test_repeated_form_rejected():
+    # A doubled form would count its prime class twice and report
+    # Z + Z/2 with d = 1 for a ring whose class group is Z/2.
+    cone = veronese_cone(3, 2)
+    assert cone_report(cone).group == GroupStructure(0, (2,))
+    with pytest.raises(InputError, match="more than once"):
+        ConeDescription(cone.dim, cone.forms + cone.forms[-1:], cone.interior_point)
 
 
 def test_veronese_builder():
@@ -177,3 +189,30 @@ def test_row_and_column_permutation_invariance():
         assert rep.group == reference.group
         assert rep.torsion_number == reference.torsion_number
         assert rep.gorenstein == reference.gorenstein
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda: joinmeet_report(two_chains_poset(3, 1)),
+        lambda: cone_report(segre_veronese_cone(4, 2, 9, 3)),  # free: reads canonical_in_basis
+        lambda: cone_report(veronese_cone(4, 6)),  # torsion group
+    ],
+    ids=["joinmeet", "cone-free", "cone-torsion"],
+)
+def test_one_smith_elimination_per_report(monkeypatch, compute):
+    # count calls through every divclass reference to smith_normal_form
+    original = exact_linalg.smith_normal_form
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return original(A)
+
+    for name, module in list(sys.modules.items()):
+        if name == "divclass" or name.startswith("divclass."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    compute()
+    assert len(calls) == 1
