@@ -76,7 +76,7 @@ for (u, v), row in zip(tree.tree_edges, expr.cycle_coeffs):
     print(f"  [{extension.vertex_name(u)} -> {extension.vertex_name(v)}] {row}")
 print("canonical class over the basis:", expr.canonical_coords)
 print("expressions satisfy every defining relation?",
-      verify_column_relations(extension, tree, expr))
+      verify_column_relations(forms, tree, expr))
 
 # The two routes must agree; joinmeet_report runs both and cross-checks.
 report = joinmeet_report(poset)

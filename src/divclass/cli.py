@@ -16,22 +16,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__
 from .errors import InputError, InternalInvariantError
 from .joinmeet import joinmeet_report
 from .poset import Poset, build_poset, two_chains_poset
 from .semigroup import (
-    ClassGroupReport,
     ConeDescription,
     cone_report,
     determinantal_invariants,
     segre_veronese_cone,
     veronese_cone,
 )
-from .sweep import run_sweep
+from .sweep import poset_document, run_sweep
 
 _TOOL = {"name": "divclass", "version": __version__}
 
@@ -39,16 +36,6 @@ _TOOL = {"name": "divclass", "version": __version__}
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are input errors, exit code 1
         raise InputError(message)
-
-
-@dataclass(frozen=True)
-class InputDocument:
-    mode: str
-    elements: Optional[tuple] = None
-    relations: Optional[tuple] = None
-    dim: Optional[int] = None
-    forms: Optional[tuple] = None
-    interior_point: Optional[tuple] = None
 
 
 def _as_int(value, what: str) -> int:
@@ -70,8 +57,8 @@ def _as_int_vector(value, what: str) -> tuple:
     return tuple(_as_int(x, what) for x in value)
 
 
-def parse_input_document(obj) -> InputDocument:
-    """Validate a decoded JSON object into an InputDocument."""
+def parse_input_document(obj):
+    """Validate a decoded JSON object into the Poset or ConeDescription it describes."""
     if not isinstance(obj, dict):
         raise InputError("input document must be a JSON object")
     mode = obj.get("mode")
@@ -99,7 +86,7 @@ def parse_input_document(obj) -> InputDocument:
             if not (isinstance(rel, list) and len(rel) == 2 and all(isinstance(x, str) for x in rel)):
                 raise InputError(f"relation {rel!r} is not a pair of element names")
             pairs.append(tuple(rel))
-        return InputDocument(mode="poset", elements=tuple(elements), relations=tuple(pairs))
+        return build_poset(elements, pairs)
     if present & poset_fields:
         raise InputError("cone mode must not carry poset fields")
     if "dim" not in present or "forms" not in present:
@@ -111,15 +98,7 @@ def parse_input_document(obj) -> InputDocument:
     interior = None
     if obj.get("interior_point") is not None:
         interior = _as_int_vector(obj["interior_point"], '"interior_point"')
-    return InputDocument(mode="cone", dim=dim, forms=forms, interior_point=interior)
-
-
-def _poset_echo(poset: Poset) -> dict:
-    return {
-        "mode": "poset",
-        "elements": list(poset.labels),
-        "relations": [list(pair) for pair in poset.cover_label_pairs()],
-    }
+    return ConeDescription(dim, forms, interior)
 
 
 def _cone_echo(cone: ConeDescription) -> dict:
@@ -133,8 +112,16 @@ def _cone_echo(cone: ConeDescription) -> dict:
     return doc
 
 
-def _report_document(mode: str, echo, report: ClassGroupReport, family=None) -> dict:
-    basis_tag = "nontree-edges" if mode == "poset" else "smith"
+def _analyze(subject, family=None) -> dict:
+    """Report document for a Poset (poset mode) or a ConeDescription (cone mode)."""
+    if isinstance(subject, Poset):
+        mode, basis_tag = "poset", "nontree-edges"
+        echo = {"mode": mode, **poset_document(subject)}
+        report = joinmeet_report(subject)
+    else:
+        mode, basis_tag = "cone", "smith"
+        echo = _cone_echo(subject)
+        report = cone_report(subject)
     doc = {
         "tool": dict(_TOOL),
         "mode": mode,
@@ -157,14 +144,6 @@ def _report_document(mode: str, echo, report: ClassGroupReport, family=None) -> 
     return doc
 
 
-def _analyze(document: InputDocument, family=None) -> dict:
-    if document.mode == "poset":
-        poset = build_poset(document.elements, document.relations)
-        return _report_document("poset", _poset_echo(poset), joinmeet_report(poset), family)
-    cone = ConeDescription(document.dim, document.forms, document.interior_point)
-    return _report_document("cone", _cone_echo(cone), cone_report(cone), family)
-
-
 def _require_params(args, names) -> dict:
     values = {}
     for name in names:
@@ -176,33 +155,20 @@ def _require_params(args, names) -> dict:
     return values
 
 
+# family name -> (its parameters, the builder taking them by name)
+_FAMILIES = {
+    "two-chains": (("a", "b"), two_chains_poset),
+    "veronese": (("n", "r"), veronese_cone),
+    "segre": (("m", "p", "n", "q"), segre_veronese_cone),
+}
+
+
 def _cmd_family(args) -> dict:
     name = args.name
-    if name == "two-chains":
-        params = _require_params(args, ("a", "b"))
-        if params["a"] < 0 or params["b"] < 0:
-            raise InputError("two-chains parameters must be nonnegative")
-        poset = two_chains_poset(params["a"], params["b"])
-        return _analyze(
-            InputDocument(
-                mode="poset",
-                elements=poset.labels,
-                relations=poset.cover_label_pairs(),
-            ),
-            family={"name": name, **params},
-        )
-    if name == "veronese":
-        params = _require_params(args, ("n", "r"))
-        cone = veronese_cone(params["n"], params["r"])
-        return _report_document(
-            "cone", _cone_echo(cone), cone_report(cone), family={"name": name, **params}
-        )
-    if name == "segre":
-        params = _require_params(args, ("m", "p", "n", "q"))
-        cone = segre_veronese_cone(params["m"], params["p"], params["n"], params["q"])
-        return _report_document(
-            "cone", _cone_echo(cone), cone_report(cone), family={"name": name, **params}
-        )
+    if name in _FAMILIES:
+        names, builder = _FAMILIES[name]
+        params = _require_params(args, names)
+        return _analyze(builder(**params), family={"name": name, **params})
     if name == "determinantal":
         params = _require_params(args, ("m", "n"))
         inv = determinantal_invariants(params["m"], params["n"])
@@ -295,18 +261,22 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "analyze":
-            if args.input is None:
-                raw = sys.stdin.read()
-            else:
-                try:
+            try:
+                if args.input is None:
+                    raw = sys.stdin.read()
+                else:
                     with open(args.input, "r", encoding="utf-8") as handle:
                         raw = handle.read()
-                except OSError as exc:
-                    raise InputError(f"cannot read {args.input}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise InputError(f"input is not UTF-8 text: {exc}") from None
+            except OSError as exc:
+                raise InputError(f"cannot read {args.input or 'standard input'}: {exc}") from None
             try:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise InputError(f"input is not valid JSON: {exc}") from None
+            except RecursionError:
+                raise InputError("input JSON is nested too deeply to decode") from None
             doc, code = _analyze(parse_input_document(obj)), 0
         elif args.command == "family":
             doc, code = _cmd_family(args), 0

@@ -91,11 +91,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            left = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(left[k] * other._entries[k * other.cols + j] for k in range(self.cols)))
+        columns = [other.column(j) for j in range(other.cols)]
+        rows = map(self.row, range(self.rows))
+        out = [sum(map(operator.mul, row, col)) for row in rows for col in columns]
         return IntMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, v: Sequence[int]) -> tuple:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .abelian import AbelianPresentation, ClassElement, structure, torsion_number
 from .errors import InternalInvariantError
 from .exact_linalg import IntMatrix
-from .poset import BoundedPoset, Poset, bound, is_pure
+from .poset import BoundedPoset, Poset, bound
 from .semigroup import ClassGroupReport
 
 
@@ -165,23 +165,22 @@ def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpre
     return ClassExpression(tuple(map(tuple, coeffs)), canonical)
 
 
-def verify_column_relations(
-    extension: BoundedPoset, tree: SpanningTree, expr: ClassExpression
-) -> bool:
+def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) -> bool:
     """Substitute the tree-class expressions into every defining relation.
 
-    Each coordinate column of the relation matrix says a certain integer
+    ``forms`` are ``support_forms`` of the extension the tree spans.  Each
+    coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
     """
-    forms = {f.source_edge: f.coeffs for f in support_forms(extension)}
-    n = extension.base.n
-    tree_rows = [forms[e] for e in tree.tree_edges]
-    nontree_rows = [forms[e] for e in tree.nontree_edges]
-    for col in range(n + 1):
+    coeffs = {f.source_edge: f.coeffs for f in forms}
+    width = len(tree.tree_edges)  # one tree edge per coordinate z_0..z_n
+    tree_rows = [coeffs[e] for e in tree.tree_edges]
+    nontree_rows = [coeffs[e] for e in tree.nontree_edges]
+    for col in range(width):
         for j in range(len(tree.nontree_edges)):
             total = nontree_rows[j][col]
-            total += sum(expr.cycle_coeffs[i][j] * tree_rows[i][col] for i in range(n + 1))
+            total += sum(expr.cycle_coeffs[i][j] * tree_rows[i][col] for i in range(width))
             if total != 0:
                 return False
     return True
@@ -212,7 +211,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     expr = class_expressions(extension, tree)
     if any(c not in (-1, 0, 1) for row in expr.cycle_coeffs for c in row):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
-    if not verify_column_relations(extension, tree, expr):
+    if not verify_column_relations(forms, tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
     canonical = ClassElement((1,) * r)
     d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
@@ -228,5 +227,6 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
         canonical_in_basis=expr.canonical_coords,
         torsion_number=d_matrix,
         gorenstein=(d_matrix == 0),
-        pure=is_pure(poset),
+        pure=extension.is_graded(),
+        cycle_coeffs=expr.cycle_coeffs,
     )

@@ -85,6 +85,25 @@ class BoundedPoset:
             return "top"
         return str(self.base.labels[v - 1])
 
+    def is_graded(self) -> bool:
+        """Whether every vertex gets one rank along all edge paths from the bottom.
+
+        Ranks propagate from the bottom along the Hasse edges, taken by
+        target; grading fails exactly when two paths assign different ranks
+        to the same vertex.
+        """
+        ranks: list = [None] * (self.top + 1)
+        ranks[BOTTOM] = 0
+        for u, v in sorted(self.edges, key=lambda e: (e[1], e[0])):
+            if ranks[u] is None:
+                raise InternalInvariantError(f"vertex {u} reached before being ranked")
+            candidate = ranks[u] + 1
+            if ranks[v] is None:
+                ranks[v] = candidate
+            elif ranks[v] != candidate:
+                return False
+        return True
+
 
 @dataclass(frozen=True)
 class ChainPair:
@@ -148,22 +167,9 @@ def bound(poset: Poset) -> BoundedPoset:
 def is_pure(poset: Poset) -> bool:
     """Whether every maximal chain has the same cardinality.
 
-    Equivalent to the bounded extension being graded: ranks propagate from
-    the bottom along cover edges, and purity fails exactly when two edge
-    paths assign different ranks to the same vertex.
+    Equivalent to the bounded extension being graded.
     """
-    extension = bound(poset)
-    ranks: list = [None] * (poset.n + 2)
-    ranks[BOTTOM] = 0
-    for u, v in sorted(extension.edges, key=lambda e: (e[1], e[0])):
-        if ranks[u] is None:
-            raise InternalInvariantError(f"vertex {u} reached before being ranked")
-        candidate = ranks[u] + 1
-        if ranks[v] is None:
-            ranks[v] = candidate
-        elif ranks[v] != candidate:
-            return False
-    return True
+    return bound(poset).is_graded()
 
 
 def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:

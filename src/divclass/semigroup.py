@@ -104,7 +104,10 @@ class ClassGroupReport:
     ``canonical`` is always the all-ones element over the height-one prime
     classes.  ``canonical_in_basis`` is its coordinate vector over a free
     basis when the class group is free (None otherwise); its coordinate gcd
-    equals the torsion number.  ``pure`` is set only in poset mode.
+    equals the torsion number.  Set only in poset mode: ``pure``, whether
+    all maximal chains have the same cardinality, and ``cycle_coeffs``, the
+    fundamental-cycle coefficients of the tree classes in the nontree basis
+    of ``canonical_in_basis`` (one row per tree edge, entries -1, 0 or 1).
     """
 
     num_height_one_primes: int
@@ -114,6 +117,7 @@ class ClassGroupReport:
     torsion_number: int
     gorenstein: bool
     pure: Optional[bool] = None
+    cycle_coeffs: Optional[tuple] = None
 
 
 def presentation_from_forms(forms: Sequence[Sequence[int]], dim: int) -> AbelianPresentation:

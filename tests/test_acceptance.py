@@ -138,11 +138,12 @@ def poset_sweep():
     for index in range(SWEEP_COUNT):
         poset = random_poset(rng, SWEEP_MAX_N)
         extension = bound(poset)
-        matrix = relation_matrix(support_forms(extension))
+        forms = support_forms(extension)
+        matrix = relation_matrix(forms)
         snf = smith_normal_form(matrix)
         tree = choose_tree(extension)
         expr = class_expressions(extension, tree)
-        column_relations_ok = verify_column_relations(extension, tree, expr)
+        column_relations_ok = verify_column_relations(forms, tree, expr)
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
         presentation = AbelianPresentation(matrix.rows, matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))

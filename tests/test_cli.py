@@ -8,7 +8,7 @@ import pytest
 
 from divclass.cli import main, parse_input_document
 
-from divclass import InputError, segre_veronese_cone
+from divclass import InputError, Poset, segre_veronese_cone
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -123,6 +123,22 @@ def test_analyze_missing_file(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_analyze_undecodable_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(two_chains_doc(1, 1)).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, ["analyze", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
+def test_analyze_deeply_nested_json_is_input_error(capsys, monkeypatch):
+    depth = 200_000
+    payload = "[" * depth + "]" * depth
+    code, out, err = run_cli(capsys, ["analyze"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_mode_field_validation():
     with pytest.raises(InputError):
         parse_input_document({"mode": "poset", "elements": ["a"], "relations": [], "dim": 1})
@@ -150,7 +166,7 @@ def test_round_trip_of_echoed_input(capsys, monkeypatch):
     second = json.loads(out2)
     assert first["input"] == second["input"]
     assert first["torsion_number"] == second["torsion_number"]
-    assert redone.mode == "poset"
+    assert isinstance(redone, Poset)
 
 
 def test_byte_identical_rerun(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+from collections import Counter
 
 import pytest
 
 from divclass import (
     AbelianPresentation,
     ClassElement,
+    ConeDescription,
     InternalInvariantError,
     IntMatrix,
     SpanningTree,
@@ -13,6 +16,7 @@ from divclass import (
     build_poset,
     choose_tree,
     class_expressions,
+    cone_report,
     joinmeet_report,
     relation_matrix,
     support_forms,
@@ -20,7 +24,10 @@ from divclass import (
     two_chains_poset,
     verify_column_relations,
 )
-from divclass.sweep import random_poset
+from divclass import joinmeet, poset
+from divclass.cli import main
+from divclass.semigroup import canonical_coordinate_gcd
+from divclass.sweep import random_poset, run_sweep
 
 
 def antichain2():
@@ -116,7 +123,7 @@ def test_verify_column_relations():
         extension = bound(poset)
         tree = choose_tree(extension)
         expr = class_expressions(extension, tree)
-        assert verify_column_relations(extension, tree, expr)
+        assert verify_column_relations(support_forms(extension), tree, expr)
 
 
 def test_verify_rejects_corrupted_expression():
@@ -126,7 +133,7 @@ def test_verify_rejects_corrupted_expression():
     tree = choose_tree(extension)
     expr = class_expressions(extension, tree)
     corrupted = ClassExpression(((1,), (-1,), (1,)), expr.canonical_coords)
-    assert not verify_column_relations(extension, tree, corrupted)
+    assert not verify_column_relations(support_forms(extension), tree, corrupted)
 
 
 def test_joinmeet_report_examples():
@@ -182,7 +189,7 @@ def test_tree_independence_of_torsion_number():
         default = class_expressions(extension, choose_tree(extension))
         alt_tree = alternate_tree(extension)
         alt = class_expressions(extension, alt_tree)
-        assert verify_column_relations(extension, alt_tree, alt)
+        assert verify_column_relations(support_forms(extension), alt_tree, alt)
         d_default = math.gcd(*(abs(c) for c in default.canonical_coords))
         d_alt = math.gcd(*(abs(c) for c in alt.canonical_coords))
         assert d_default == d_alt
@@ -230,3 +237,64 @@ def test_report_raises_on_impossible_state(monkeypatch):
     monkeypatch.setattr(jm, "verify_column_relations", lambda *args: False)
     with pytest.raises(InternalInvariantError):
         joinmeet_report(antichain2())
+
+
+def test_cone_mode_agrees_with_poset_mode():
+    # the support forms of a poset, fed to cone mode, describe the same ring
+    rng = random.Random(80)
+    for _ in range(300):
+        p = random_poset(rng, 7)
+        coeffs = [f.coeffs for f in support_forms(bound(p))]
+        rep = joinmeet_report(p)
+        cone = cone_report(ConeDescription(p.n + 1, coeffs))
+        assert (cone.group, cone.torsion_number, cone.gorenstein, cone.num_height_one_primes) == (
+            rep.group,
+            rep.torsion_number,
+            rep.gorenstein,
+            rep.num_height_one_primes,
+        )
+        assert canonical_coordinate_gcd(cone) == canonical_coordinate_gcd(rep)
+
+
+STEPS = ("bound", "support_forms", "choose_tree", "class_expressions")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts calls, through every divclass reference, to the poset-mode steps."""
+    counts = Counter()
+    for home, name in (
+        (poset, "build_poset"),
+        (poset, "bound"),
+        (joinmeet, "support_forms"),
+        (joinmeet, "choose_tree"),
+        (joinmeet, "class_expressions"),
+    ):
+        original = getattr(home, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "divclass" or module_name.startswith("divclass."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+    return counts
+
+
+def test_sweep_builds_each_step_once_per_sample(calls):
+    run_sweep(100, 7, 1)
+    assert {step: calls[step] for step in STEPS} == {step: 100 for step in STEPS}
+
+
+def test_report_builds_each_step_once(calls):
+    joinmeet_report(two_chains_poset(5, 2))
+    assert {step: calls[step] for step in STEPS} == {step: 1 for step in STEPS}
+
+
+def test_family_two_chains_builds_its_poset_once(calls):
+    assert main(["family", "two-chains", "--a", "3", "--b", "1"]) == 0
+    assert calls["build_poset"] == 1
+    assert {step: calls[step] for step in STEPS} == {step: 1 for step in STEPS}
