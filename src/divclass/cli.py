@@ -86,6 +86,11 @@ def parse_input_document(obj):
             if not (isinstance(rel, list) and len(rel) == 2 and all(isinstance(x, str) for x in rel)):
                 raise InputError(f"relation {rel!r} is not a pair of element names")
             pairs.append(tuple(rel))
+        for name in elements + [x for pair in pairs for x in pair]:
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError(f"name {name!r} does not encode as UTF-8") from None
         return build_poset(elements, pairs)
     if present & poset_fields:
         raise InputError("cone mode must not carry poset fields")
@@ -144,51 +149,38 @@ def _analyze(subject, family=None) -> dict:
     return doc
 
 
-def _require_params(args, names) -> dict:
-    values = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            flags = " ".join(f"--{p}" for p in names)
-            raise InputError(f"family {args.name!r} needs {flags}")
-        values[name] = value
-    return values
-
-
 # family name -> (its parameters, the builder taking them by name)
 _FAMILIES = {
     "two-chains": (("a", "b"), two_chains_poset),
     "veronese": (("n", "r"), veronese_cone),
     "segre": (("m", "p", "n", "q"), segre_veronese_cone),
+    "determinantal": (("m", "n"), determinantal_invariants),
 }
 
 
 def _cmd_family(args) -> dict:
-    name = args.name
-    if name in _FAMILIES:
-        names, builder = _FAMILIES[name]
-        params = _require_params(args, names)
-        return _analyze(builder(**params), family={"name": name, **params})
-    if name == "determinantal":
-        params = _require_params(args, ("m", "n"))
-        inv = determinantal_invariants(params["m"], params["n"])
-        # no analyzable input document exists for this closed form
-        return {
-            "tool": dict(_TOOL),
-            "mode": "determinantal",
-            "input": None,
-            "num_height_one_primes": None,
-            "rank": inv.rank,
-            "invariant_factors": [],
-            "canonical_class": {
-                "basis": "height-one-prime",
-                "coords": [str(params["n"] - params["m"])],
-            },
-            "torsion_number": str(inv.torsion_number),
-            "gorenstein": inv.torsion_number == 0,
-            "family": {"name": name, **params},
-        }
-    raise InputError(f"unknown family {name!r}")
+    names, builder = _FAMILIES[args.name]
+    params = {name: getattr(args, name) for name in names}
+    family = {"name": args.name, **params}
+    if args.name != "determinantal":
+        return _analyze(builder(**params), family=family)
+    inv = builder(**params)
+    # no analyzable input document exists for this closed form
+    return {
+        "tool": dict(_TOOL),
+        "mode": "determinantal",
+        "input": None,
+        "num_height_one_primes": None,
+        "rank": inv.rank,
+        "invariant_factors": [],
+        "canonical_class": {
+            "basis": "height-one-prime",
+            "coords": [str(params["n"] - params["m"])],
+        },
+        "torsion_number": str(inv.torsion_number),
+        "gorenstein": inv.torsion_number == 0,
+        "family": family,
+    }
 
 
 def _cmd_sweep(args):
@@ -245,9 +237,11 @@ def build_parser() -> _ArgumentParser:
     analyze.add_argument("--input", metavar="FILE", help="JSON file (stdin when absent)")
 
     family = sub.add_parser("family", parents=[common], help="analyze a built-in parametric family")
-    family.add_argument("name", choices=("two-chains", "veronese", "segre", "determinantal"))
-    for flag in ("a", "b", "n", "r", "m", "p", "q"):
-        family.add_argument(f"--{flag}", type=int)
+    members = family.add_subparsers(dest="name", required=True)
+    for name, (params, _) in _FAMILIES.items():
+        member = members.add_parser(name, parents=[common])
+        for param in params:
+            member.add_argument(f"--{param}", type=int, required=True)
 
     sweep = sub.add_parser("sweep", parents=[common], help="randomized property sweep over posets")
     sweep.add_argument("--count", type=int, default=200)

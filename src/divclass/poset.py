@@ -8,11 +8,11 @@ stable relabeling), so every other function can rely on that order.
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
-
-import networkx as nx
 
 from .errors import InputError, InternalInvariantError, LimitExceededError
 
@@ -121,17 +121,19 @@ class ChainPair:
 def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Poset:
     """Canonical poset from element names and any set of strict relations.
 
-    The relations may include comparisons implied by others; they are closed
-    transitively, reduced back to covers, and the elements are renumbered by
-    a stable linear extension (ties broken by input order).  Cycles and
-    unknown names are rejected.
+    The relations may include comparisons implied by others.  The elements
+    are renumbered by the lexicographically smallest linear extension over
+    input positions (Kahn's algorithm with a heap, so ties keep input
+    order); an element left unplaced lies on a cycle.  The covers are the
+    transitive reduction, taken in reverse linear-extension order from
+    bitsets of the elements each element reaches (Aho, Garey and Ullman).
+    Cycles and unknown names are rejected.
     """
     names = [str(x) for x in names]
     if len(set(names)) != len(names):
         raise InputError("element names must be distinct")
     index = {x: i for i, x in enumerate(names)}
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(range(len(names)))
+    above = [set() for _ in names]
     for pair in relations:
         a, b = pair
         a, b = str(a), str(b)
@@ -140,17 +142,28 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
                 raise InputError(f"relation mentions unknown element {x!r}")
         if a == b:
             raise InputError(f"relation {a!r} < {b!r} is reflexive, hence a cycle")
-        digraph.add_edge(index[a], index[b])
-    if not nx.is_directed_acyclic_graph(digraph):
+        above[index[a]].add(index[b])
+    below_count = Counter(v for targets in above for v in targets)
+    ready = [v for v in range(len(names)) if not below_count[v]]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in above[u]:
+            below_count[v] -= 1
+            if not below_count[v]:
+                heapq.heappush(ready, v)
+    if len(order) != len(names):
         raise InputError("relations contain a cycle")
-    reduced = nx.transitive_reduction(digraph)
-    # lexicographic topological order over input positions = stable relabeling
-    order = list(nx.lexicographical_topological_sort(reduced))
     position = {node: k for k, node in enumerate(order)}
-    return Poset(
-        labels=tuple(names[node] for node in order),
-        covers=frozenset((position[u], position[v]) for u, v in reduced.edges),
-    )
+    reach = [0] * len(order)  # bit j of reach[k]: position j lies above position k
+    covers = []
+    for k in reversed(range(len(order))):
+        for j in sorted(position[v] for v in above[order[k]]):
+            if not reach[k] >> j & 1:
+                covers.append((k, j))
+                reach[k] |= reach[j] | 1 << j
+    return Poset(labels=tuple(names[node] for node in order), covers=frozenset(covers))
 
 
 def bound(poset: Poset) -> BoundedPoset:

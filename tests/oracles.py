@@ -1,11 +1,16 @@
 """Independent brute-force oracles used to pin expected values.
 
-Nothing here may call into divclass' own linear algebra or chain search:
-these are the second opinions the library is checked against.
+Nothing here may call into divclass' own linear algebra, chain search or
+canonicalization: these are the second opinions the library is checked
+against.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+
+import networkx as nx
+
+from divclass import Poset
 
 
 def det_cofactor(rows):
@@ -145,3 +150,25 @@ def cyclic_quotient_order(modulus, element):
         seen.add(value)
         value = (value + element) % modulus
     return modulus // len(seen)
+
+
+def networkx_canonical_poset(names, relations):
+    """Canonical poset by networkx, or None when the relations hold a cycle.
+
+    Covers are networkx's transitive reduction and labels follow its
+    lexicographic topological sort over input positions.  Names are assumed
+    distinct and known; a reflexive pair is a self-loop, hence a cycle.
+    """
+    index = {x: i for i, x in enumerate(names)}
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(len(names)))
+    digraph.add_edges_from((index[a], index[b]) for a, b in relations)
+    if not nx.is_directed_acyclic_graph(digraph):
+        return None
+    reduced = nx.transitive_reduction(digraph)
+    order = list(nx.lexicographical_topological_sort(reduced))
+    position = {node: k for k, node in enumerate(order)}
+    return Poset(
+        labels=tuple(names[node] for node in order),
+        covers=frozenset((position[u], position[v]) for u, v in reduced.edges),
+    )

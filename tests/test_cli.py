@@ -131,6 +131,17 @@ def test_analyze_undecodable_file_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "UTF-8" in err
 
 
+def test_analyze_name_with_lone_surrogate_is_input_error(capsys, monkeypatch):
+    for output in ("json", "text"):
+        for doc in (
+            {"mode": "poset", "elements": ["\ud800"], "relations": []},
+            {"mode": "poset", "elements": ["a", "b"], "relations": [["a", "\udfff"]]},
+        ):
+            argv = ["--output", output, "analyze"]
+            code, out, err = run_cli(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
+            assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_analyze_deeply_nested_json_is_input_error(capsys, monkeypatch):
     depth = 200_000
     payload = "[" * depth + "]" * depth
@@ -211,6 +222,8 @@ def test_family_determinantal(capsys):
 def test_family_errors(capsys):
     code, _, err = run_cli(capsys, ["family", "veronese", "--n", "4"])
     assert code == 1 and "--r" in err
+    code, _, err = run_cli(capsys, ["family", "veronese", "--n", "4", "--r", "6", "--a", "9"])
+    assert code == 1 and "--a" in err
     code, _, err = run_cli(capsys, ["family", "nosuch"])
     assert code == 1
     code, _, err = run_cli(capsys, ["family", "two-chains", "--a", "-1", "--b", "0"])
@@ -274,17 +287,37 @@ def test_unknown_flag_is_input_error(capsys):
     assert code == 1
 
 
-def test_module_entry_point():
+def run_python(args):
     # the child imports the same divclass as this test, installed or not
     import divclass
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(divclass.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "divclass", "family", "determinantal", "--m", "2", "--n", "5"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_python(["-m", "divclass", "family", "determinantal", "--m", "2", "--n", "5"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["torsion_number"] == "3"
+
+
+def test_cli_imports_only_the_standard_library():
+    proc = run_python(
+        [
+            "-c",
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import divclass.cli\n"
+            "divclass.cli.build_parser()\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'divclass'}))",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -14,7 +14,7 @@ from divclass import (
 )
 from divclass.sweep import random_poset
 
-from oracles import brute_maximal_chain_cardinalities
+from oracles import brute_maximal_chain_cardinalities, networkx_canonical_poset
 
 
 def test_single_element():
@@ -35,6 +35,46 @@ def test_cycle_rejected():
         build_poset(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(InputError):
         build_poset(["a"], [("a", "a")])
+
+
+def _messy_relations(rng, n):
+    """Shuffled names and a random order's relations, padded and sometimes cyclic.
+
+    Pads with implied (transitive) relations and repeated pairs; about one
+    set in four gains a back edge or a reflexive pair.
+    """
+    names = [f"e{k}" for k in rng.sample(range(100), n)]
+    hidden = rng.sample(names, n)  # position i < j in hidden: i may lie below j
+    density = rng.random() * 0.5
+    direct = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+    reach = [set() for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if (i, j) in direct:
+                reach[i] |= {j} | reach[j]
+    implied = sorted({(i, j) for i in range(n) for j in reach[i]} - direct)
+    pairs = sorted(direct) + rng.sample(implied, rng.randrange(len(implied) + 1))
+    pairs += rng.choices(pairs, k=rng.randrange(4)) if pairs else []
+    if n and rng.random() < 0.25:
+        i, j = sorted(rng.randrange(n) for _ in range(2))
+        pairs.append((j, i))
+    rng.shuffle(pairs)
+    return names, [(hidden[i], hidden[j]) for i, j in pairs]
+
+
+def test_build_poset_matches_networkx_oracle():
+    rng = random.Random(20261018)
+    cyclic = 0
+    for _ in range(2500):
+        names, relations = _messy_relations(rng, rng.randrange(15))
+        expected = networkx_canonical_poset(names, relations)
+        if expected is None:
+            cyclic += 1
+            with pytest.raises(InputError):
+                build_poset(names, relations)
+        else:
+            assert build_poset(names, relations) == expected
+    assert 200 < cyclic < 1000
 
 
 def test_unknown_and_duplicate_names():
