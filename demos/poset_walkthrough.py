@@ -60,8 +60,8 @@ print("reduced class group (quotient by the canonical class):",
 
 # Route 2: spanning tree and fundamental cycles.  Each vertex below the top
 # keeps one upward edge; the leftover edges index a basis of the class
-# group, and every tree class is expanded in that basis along the unique
-# cycle its edge closes.
+# group.  Each basis edge closes one cycle through the tree, and the signs
+# along the cycles expand every tree class in that basis.
 tree = choose_tree(extension)
 print("\ntree edges (one per vertex below the top):")
 for u, v in tree.tree_edges:
@@ -71,9 +71,12 @@ for u, v in tree.nontree_edges:
     print(f"  {extension.vertex_name(u)} -> {extension.vertex_name(v)}")
 
 expr = class_expressions(extension, tree)
-print("\ncycle coefficients (tree edge x basis edge):")
-for (u, v), row in zip(tree.tree_edges, expr.cycle_coeffs):
-    print(f"  [{extension.vertex_name(u)} -> {extension.vertex_name(v)}] {row}")
+print("\nfundamental cycles (tree edges a basis edge closes, with their signs):")
+for (x, y), cycle in zip(tree.nontree_edges, expr.cycles):
+    print(f"  {extension.vertex_name(x)} -> {extension.vertex_name(y)}:")
+    for v, sign in cycle:
+        u, w = tree.tree_edges[v]
+        print(f"    {sign:+d} [{extension.vertex_name(u)} -> {extension.vertex_name(w)}]")
 print("canonical class over the basis:", expr.canonical_coords)
 print("expressions satisfy every defining relation?",
       verify_column_relations(forms, tree, expr))

@@ -6,8 +6,9 @@ Input documents carry exactly one mode:
     {"mode": "cone", "dim": 2, "forms": [[1, 0], [-1, 2]],
      "interior_point": [1, 2]}          # interior_point optional
 
-Integer entries may be given as numbers or decimal strings; all
-potentially large integers in the output are decimal strings.  Exit codes:
+Integer entries may be given as numbers or decimal strings (an optional
+"-" and ASCII digits); all potentially large integers in the output are
+decimal strings, printed in full.  Exit codes:
 0 success, 1 input error, 2 internal invariant violation.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -39,16 +41,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         try:
-            return int(value, 10)
-        except ValueError:
-            raise InputError(f"{what} must be a decimal integer, got {value!r}") from None
-    raise InputError(f"{what} must be an integer, got {value!r}")
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise InputError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 def _as_int_vector(value, what: str) -> tuple:
@@ -252,6 +252,7 @@ def build_parser() -> _ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, or Python < 3.10.7
     try:
         args = parser.parse_args(argv)
         if args.command == "analyze":
@@ -267,11 +268,15 @@ def main(argv=None) -> int:
                 raise InputError(f"cannot read {args.input or 'standard input'}: {exc}") from None
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
                 raise InputError(f"input is not valid JSON: {exc}") from None
             except RecursionError:
                 raise InputError("input JSON is nested too deeply to decode") from None
-            doc, code = _analyze(parse_input_document(obj)), 0
+            subject = parse_input_document(obj)
+        if limit:  # the limit guards reading input; answers print in full
+            sys.set_int_max_str_digits(0)
+        if args.command == "analyze":
+            doc, code = _analyze(subject), 0
         elif args.command == "family":
             doc, code = _cmd_family(args), 0
         else:
@@ -284,6 +289,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ always free of rank |E| - (n + 1).
 
 A spanning tree of the Hasse diagram assigning one upward edge to each
 vertex below the top makes the tree rows of the relation matrix upper
-triangular with unit diagonal, so the nontree classes form a basis.  Each
-tree class is expressed in that basis through the fundamental cycle its
-edge closes, with coefficients +1/-1/0 read off the cycle orientation.
-Summing the expressions of all edge classes gives the canonical class; the
-gcd of its basis coordinates is the torsion number, which is also computed
-independently from Fitting ideals of the relation matrix and cross-checked.
+triangular with unit diagonal, so the nontree classes form a basis.  The
+signed tree edges on the fundamental cycle of each nontree edge, kept
+sparse, expand the tree classes in that basis with coefficients +1/-1/0.
+Summing all edge classes gives the canonical class; the gcd of its basis
+coordinates is the torsion number, which is also computed independently
+from Fitting ideals of the relation matrix and cross-checked.
 """
 
 from __future__ import annotations
@@ -57,15 +57,16 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class ClassExpression:
-    """Tree classes in the nontree basis, plus the canonical coordinates.
+    """Fundamental cycles of the nontree edges, plus the canonical coordinates.
 
-    ``cycle_coeffs[i][j]`` is the coefficient of the j-th nontree class in
-    the i-th tree class (always -1, 0, or 1); ``canonical_coords[j]`` is
-    1 + sum_i cycle_coeffs[i][j], the j-th coordinate of the canonical
-    class, i.e. of the sum of all edge classes.
+    ``cycles[j]`` is the cycle of the j-th nontree edge (x, y) as
+    ``(v, sign)`` pairs naming ``tree_edges[v]``: +1 along y's tree path up
+    to the meet, then -1 along x's.  The sign is the coefficient of the j-th
+    nontree class in the class of ``tree_edges[v]`` (0 off the cycle), and
+    ``canonical_coords[j]`` is 1 plus the signs of cycle j.
     """
 
-    cycle_coeffs: tuple
+    cycles: tuple
     canonical_coords: tuple
 
 
@@ -117,52 +118,38 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
         # upper triangular with unit diagonal: row v is z_v or z_v - z_target
         if source != v or target <= v:
             raise InternalInvariantError(f"tree row {v} is not upper triangular")
-    top = extension.top
-    for v in range(n + 1):
-        w, steps = v, 0
-        while w != top:
-            w = tree[w][1]
-            steps += 1
-            if steps > n + 2:
-                raise InternalInvariantError("tree does not reach the top")
+    # targets climb strictly, so every tree path ends at the top
     return SpanningTree(tuple(tree), nontree)
 
 
 def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpression:
-    """Fundamental-cycle coefficients of every tree class, and the canonical class.
+    """Fundamental cycle of every nontree edge, and the canonical class.
 
     For a nontree edge e_j = (x, y), the tree plus e_j closes a unique
     cycle; orienting it x -> y, a tree edge traversed along its own
-    direction contributes +1 to the j-th coefficient of its class, one
-    traversed backwards contributes -1.  The cycle climbs from y to the
-    meet of the two tree paths and descends to x, so the y-side tree edges
-    are the +1's and the x-side ones the -1's.
+    direction gets sign +1, one traversed backwards -1.  The cycle climbs
+    from y to the meet of the two tree paths and descends to x, so the
+    y-side tree edges are the +1's and the x-side ones the -1's.  With
+    ``dep`` the number of tree steps to the top, coordinate j of the
+    canonical class is therefore 1 + dep(y) - dep(x).
     """
-    n = extension.base.n
-    top = extension.top
     parent = [edge[1] for edge in tree.tree_edges]
-
-    def path_to_top(v):
-        out = [v]
-        while out[-1] != top:
-            out.append(parent[out[-1]])
-        return out
-
-    m = len(tree.nontree_edges)
-    coeffs = [[0] * m for _ in range(n + 1)]
-    for j, (x, y) in enumerate(tree.nontree_edges):
-        px = path_to_top(x)
-        py = path_to_top(y)
-        ix, iy = len(px), len(py)
-        while ix > 0 and iy > 0 and px[ix - 1] == py[iy - 1]:
-            ix -= 1
-            iy -= 1
-        for w in py[:iy]:
-            coeffs[w][j] += 1
-        for w in px[:ix]:
-            coeffs[w][j] -= 1
-    canonical = tuple(1 + sum(coeffs[i][j] for i in range(n + 1)) for j in range(m))
-    return ClassExpression(tuple(map(tuple, coeffs)), canonical)
+    dep = [0] * (extension.top + 1)
+    for v in reversed(range(len(parent))):  # every tree target is above its vertex
+        dep[v] = dep[parent[v]] + 1
+    cycles = []
+    for x, y in tree.nontree_edges:
+        x_side, y_side = [], []
+        while x != y:
+            if dep[x] >= dep[y]:
+                x_side.append((x, -1))
+                x = parent[x]
+            else:
+                y_side.append((y, 1))
+                y = parent[y]
+        cycles.append(tuple(y_side + x_side))
+    canonical = tuple(1 + dep[y] - dep[x] for x, y in tree.nontree_edges)
+    return ClassExpression(tuple(cycles), canonical)
 
 
 def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) -> bool:
@@ -172,17 +159,20 @@ def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) ->
     coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
+    Over class j that sums the (at most two) nonzeros of the row of e_j and
+    of the signed tree rows along cycle j.
     """
-    coeffs = {f.source_edge: f.coeffs for f in forms}
-    width = len(tree.tree_edges)  # one tree edge per coordinate z_0..z_n
-    tree_rows = [coeffs[e] for e in tree.tree_edges]
-    nontree_rows = [coeffs[e] for e in tree.nontree_edges]
-    for col in range(width):
-        for j in range(len(tree.nontree_edges)):
-            total = nontree_rows[j][col]
-            total += sum(expr.cycle_coeffs[i][j] * tree_rows[i][col] for i in range(width))
-            if total != 0:
-                return False
+    if len(expr.cycles) != len(tree.nontree_edges):
+        return False
+    rows = {f.source_edge: [(c, a) for c, a in enumerate(f.coeffs) if a] for f in forms}
+    tree_rows = [rows[e] for e in tree.tree_edges]
+    for edge, cycle in zip(tree.nontree_edges, expr.cycles):
+        total = dict(rows[edge])
+        for v, sign in cycle:
+            for c, a in tree_rows[v]:
+                total[c] = total.get(c, 0) + sign * a
+        if any(total.values()):
+            return False
     return True
 
 
@@ -209,7 +199,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
         )
     tree = choose_tree(extension)
     expr = class_expressions(extension, tree)
-    if any(c not in (-1, 0, 1) for row in expr.cycle_coeffs for c in row):
+    if any(len({v for v, _ in cycle}) != len(cycle) for cycle in expr.cycles):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
     if not verify_column_relations(forms, tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
@@ -228,5 +218,5 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
         torsion_number=d_matrix,
         gorenstein=(d_matrix == 0),
         pure=extension.is_graded(),
-        cycle_coeffs=expr.cycle_coeffs,
+        cycles=expr.cycles,
     )

@@ -105,9 +105,9 @@ class ClassGroupReport:
     classes.  ``canonical_in_basis`` is its coordinate vector over a free
     basis when the class group is free (None otherwise); its coordinate gcd
     equals the torsion number.  Set only in poset mode: ``pure``, whether
-    all maximal chains have the same cardinality, and ``cycle_coeffs``, the
-    fundamental-cycle coefficients of the tree classes in the nontree basis
-    of ``canonical_in_basis`` (one row per tree edge, entries -1, 0 or 1).
+    all maximal chains have the same cardinality, and ``cycles``, the sparse
+    fundamental cycles (``ClassExpression.cycles``) that give the tree
+    classes in the nontree basis of ``canonical_in_basis``.
     """
 
     num_height_one_primes: int
@@ -117,7 +117,7 @@ class ClassGroupReport:
     torsion_number: int
     gorenstein: bool
     pure: Optional[bool] = None
-    cycle_coeffs: Optional[tuple] = None
+    cycles: Optional[tuple] = None
 
 
 def presentation_from_forms(forms: Sequence[Sequence[int]], dim: int) -> AbelianPresentation:

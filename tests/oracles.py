@@ -172,3 +172,40 @@ def networkx_canonical_poset(names, relations):
         labels=tuple(names[node] for node in order),
         covers=frozenset((position[u], position[v]) for u, v in reduced.edges),
     )
+
+
+def dense_class_expressions(extension, tree):
+    """Dense fundamental-cycle table of a spanning tree, and the canonical class.
+
+    Returns ``(coeffs, canonical)``: ``coeffs[i][j]`` is the coefficient of
+    the j-th nontree class in the class of ``tree.tree_edges[i]``, one row
+    per vertex below the top, read off full tree paths to the top; and
+    ``canonical[j]`` is 1 plus the sum of column j.  For a nontree edge
+    (x, y), the tree edges on y's path above the meet of the two paths get
+    +1 and those on x's path get -1.
+    """
+    n = extension.base.n
+    top = extension.top
+    parent = [edge[1] for edge in tree.tree_edges]
+
+    def path_to_top(v):
+        out = [v]
+        while out[-1] != top:
+            out.append(parent[out[-1]])
+        return out
+
+    m = len(tree.nontree_edges)
+    coeffs = [[0] * m for _ in range(n + 1)]
+    for j, (x, y) in enumerate(tree.nontree_edges):
+        px = path_to_top(x)
+        py = path_to_top(y)
+        ix, iy = len(px), len(py)
+        while ix > 0 and iy > 0 and px[ix - 1] == py[iy - 1]:
+            ix -= 1
+            iy -= 1
+        for w in py[:iy]:
+            coeffs[w][j] += 1
+        for w in px[:ix]:
+            coeffs[w][j] -= 1
+    canonical = tuple(1 + sum(coeffs[i][j] for i in range(n + 1)) for j in range(m))
+    return tuple(map(tuple, coeffs)), canonical

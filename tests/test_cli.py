@@ -150,6 +150,43 @@ def test_analyze_deeply_nested_json_is_input_error(capsys, monkeypatch):
     assert err.startswith("error: ") and "nested too deeply" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before Python 3.10.7"
+)
+def test_analyze_number_past_the_digit_limit_is_input_error(capsys, monkeypatch):
+    payload = '{"mode": "cone", "dim": 1' + "0" * 4300 + ', "forms": [[1]]}'
+    code, out, err = run_cli(capsys, ["analyze"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "digits" in err
+
+
+def test_analyze_prints_answers_past_the_digit_limit(capsys, monkeypatch):
+    # forms (1, 0), (10^4300 - 3, 10^4300 - 1), (0, 1): Cl = Z and d = 2 * 10^4300 - 5
+    a, b = "9" * 4299 + "7", "9" * 4300
+    payload = f'{{"mode": "cone", "dim": 2, "forms": [[1, 0], [{a}, {b}], [0, 1]]}}'
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, ["analyze"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["rank"], doc["invariant_factors"]) == (1, [])
+    assert doc["torsion_number"] == "1" + "9" * 4299 + "5"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+    # an interpreter without the limit takes the same path, minus the lifting
+    for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+        monkeypatch.delattr(sys, name, raising=False)
+    code, out, err = run_cli(capsys, ["family", "veronese", "--n", "4", "--r", "6"])
+    assert code == 0 and json.loads(out)["torsion_number"] == "2"
+
+
+def test_decimal_strings_are_strict():
+    cone = parse_input_document({"mode": "cone", "dim": "2", "forms": [["-1", "007"]]})
+    assert cone.forms == ((-1, 7),)
+    for bad in (" 1", "1 ", "1_0", "\u0661\u0662", "+1", "", "-", "0x10", "1e3", "1.0"):
+        with pytest.raises(InputError):
+            parse_input_document({"mode": "cone", "dim": bad, "forms": []})
+
+
 def test_mode_field_validation():
     with pytest.raises(InputError):
         parse_input_document({"mode": "poset", "elements": ["a"], "relations": [], "dim": 1})

@@ -28,6 +28,7 @@ from divclass import joinmeet, poset
 from divclass.cli import main
 from divclass.semigroup import canonical_coordinate_gcd
 from divclass.sweep import random_poset, run_sweep
+from oracles import dense_class_expressions
 
 
 def antichain2():
@@ -99,16 +100,16 @@ def test_class_expressions_chain():
     extension = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
     expr = class_expressions(extension, choose_tree(extension))
     assert expr.canonical_coords == ()
-    assert expr.cycle_coeffs == ((), (), ())
+    assert expr.cycles == ()
 
 
 def test_class_expressions_antichain():
     extension = bound(antichain2())
     tree = choose_tree(extension)
     expr = class_expressions(extension, tree)
-    # cycle bot -> x2 -> top -> x1 -> bot: +1 on (x2, top), -1 on (x1, top)
-    # and (bot, x1); so the canonical coordinate is 1 + (1 - 1 - 1) = 0
-    assert expr.cycle_coeffs == ((-1,), (-1,), (1,))
+    # cycle bot -> x2 -> top -> x1 -> bot: +1 on (x2, top), -1 on (bot, x1)
+    # and (x1, top); so the canonical coordinate is 1 + (1 - 1 - 1) = 0
+    assert expr.cycles == (((2, 1), (0, -1), (1, -1)),)
     assert expr.canonical_coords == (0,)
 
 
@@ -132,8 +133,62 @@ def test_verify_rejects_corrupted_expression():
     extension = bound(antichain2())
     tree = choose_tree(extension)
     expr = class_expressions(extension, tree)
-    corrupted = ClassExpression(((1,), (-1,), (1,)), expr.canonical_coords)
-    assert not verify_column_relations(support_forms(extension), tree, corrupted)
+    forms = support_forms(extension)
+    for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
+        corrupted = ClassExpression((cycle,), expr.canonical_coords)
+        assert not verify_column_relations(forms, tree, corrupted)
+
+
+def densify(cycles, rows):
+    """Dense table of sparse cycles: entry [v][j] sums the signs of vertex v in cycle j."""
+    table = [[0] * len(cycles) for _ in range(rows)]
+    for j, cycle in enumerate(cycles):
+        for v, sign in cycle:
+            table[v][j] += sign
+    return tuple(map(tuple, table))
+
+
+def layered_poset(n, width=8, seed=1):
+    """Layers of ``width`` elements, two covers up per element, one skip relation per layer."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    layers = [names[i : i + width] for i in range(0, n, width)]
+    relations = []
+    for k in range(len(layers) - 1):
+        for a in layers[k]:
+            relations.extend((a, b) for b in rng.sample(layers[k + 1], min(2, len(layers[k + 1]))))
+        if k + 2 < len(layers):
+            relations.append((rng.choice(layers[k]), rng.choice(layers[k + 2])))
+    return build_poset(names, relations)
+
+
+def test_sparse_cycles_match_dense_oracle():
+    rng = random.Random(90)
+    posets = [random_poset(rng, 10) for _ in range(2000)]
+    posets += [layered_poset(n) for n in (20, 40, 80, 160)]
+    mutated = 0
+    for p in posets:
+        extension = bound(p)
+        forms = support_forms(extension)
+        tree = choose_tree(extension)
+        expr = class_expressions(extension, tree)
+        coeffs, canonical = dense_class_expressions(extension, tree)
+        assert densify(expr.cycles, len(tree.tree_edges)) == coeffs
+        assert expr.canonical_coords == canonical
+        assert all(len({v for v, _ in cycle}) == len(cycle) for cycle in expr.cycles)
+        assert verify_column_relations(forms, tree, expr)
+        if not expr.cycles:
+            continue
+        # every single dropped vertex or flipped sign in one cycle breaks a relation
+        j = rng.randrange(len(expr.cycles))
+        cycle = expr.cycles[j]
+        for k, (v, sign) in enumerate(cycle):
+            for changed in (cycle[:k] + cycle[k + 1 :], cycle[:k] + ((v, -sign),) + cycle[k + 1 :]):
+                cycles = expr.cycles[:j] + (changed,) + expr.cycles[j + 1 :]
+                corrupted = joinmeet.ClassExpression(cycles, expr.canonical_coords)
+                assert not verify_column_relations(forms, tree, corrupted)
+                mutated += 1
+    assert mutated > 2000
 
 
 def test_joinmeet_report_examples():
@@ -193,7 +248,9 @@ def test_tree_independence_of_torsion_number():
         d_default = math.gcd(*(abs(c) for c in default.canonical_coords))
         d_alt = math.gcd(*(abs(c) for c in alt.canonical_coords))
         assert d_default == d_alt
-        assert all(c in (-1, 0, 1) for row in alt.cycle_coeffs for c in row)
+        table = densify(alt.cycles, len(alt_tree.tree_edges))
+        assert table == dense_class_expressions(extension, alt_tree)[0]
+        assert all(c in (-1, 0, 1) for row in table for c in row)
 
 
 def test_label_permutation_invariance():
