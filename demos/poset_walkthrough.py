@@ -18,7 +18,6 @@ from divclass import (
     joinmeet_report,
     quotient_by,
     relation_matrix,
-    smith_normal_form,
     structure,
     support_forms,
     torsion_number,
@@ -45,13 +44,15 @@ matrix = relation_matrix(forms)
 print("\nrelation matrix (rows = edges, columns = z_0..z_n):")
 print(matrix.pretty())
 
-# Route 1: Smith normal form of the relation matrix.  The class group is
-# always free here; its rank is |edges| - (n + 1).
-snf = smith_normal_form(matrix)
+# Route 1: Smith normal form of the relation matrix.  The presentation
+# eliminates it once, on first use, and every invariant below reads that
+# one decomposition.  The class group is always free here; its rank is
+# |edges| - (n + 1).
+presentation = AbelianPresentation(matrix.rows, matrix)
+snf = presentation.smith
 print("\ninvariant factors:", snf.invariant_factors)
 print("class-group rank:", matrix.rows - snf.rank, "=", len(extension.edges), "-", poset.n + 1)
 
-presentation = AbelianPresentation(matrix.rows, matrix)
 canonical = ClassElement((1,) * matrix.rows)  # sum of all edge classes
 d_matrix = torsion_number(presentation, canonical)
 print("torsion number via Fitting ideals:", d_matrix)

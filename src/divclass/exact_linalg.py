@@ -3,10 +3,16 @@
 Everything runs on Python's arbitrary-precision integers, so minors and
 transforms can never overflow; correctness is preferred over speed and the
 matrices handled here are small (on the order of a hundred rows).
+
+The Smith elimination works on one row store ``[D | U]`` plus ``V``: a row
+operation is one statement on one row of the store, a column operation one
+pass over the rows of the store and of ``V``.  The pivot is the nonzero entry
+of least absolute value, ties at the lowest (row, col).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -184,34 +190,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = A.rows, A.cols
-    d = A.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
-
-    def add_row(dst, src, q):
-        # row_dst += q * row_src, kept in lockstep on the left transform
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            drow[j] += q * srow[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(m):
-            urow[j] += q * usrc[j]
-
-    def add_col(dst, src, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def swap_rows(a, b):
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a, b):
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
+    # Row i of the store is row i of D followed by row i of U, so every row
+    # operation is one statement on one list; column operations run over the
+    # rows of the store and of V, and never reach the U part (index >= n).
+    rows = [list(A.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
+    v = [[int(i == k) for k in range(n)] for i in range(n)]
 
     def find_pivot(t):
         # Nonzero entry of least absolute value in the working submatrix;
@@ -220,7 +203,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         best = None
         best_abs = None
         for i in range(t, m):
-            row = d[i]
+            row = rows[i]
             for j in range(t, n):
                 e = row[j]
                 if e != 0 and (best is None or abs(e) < best_abs):
@@ -234,25 +217,27 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             break
         while True:
             i, j = pivot
-            if i != t:
-                swap_rows(t, i)
+            rows[t], rows[i] = rows[i], rows[t]
             if j != t:
-                swap_cols(t, j)
-            p = d[t][t]
+                for row in itertools.chain(rows, v):
+                    row[t], row[j] = row[j], row[t]
+            top = rows[t]
+            p = top[t]
             dirty = False
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // p
+                if rows[i][t]:
+                    q = rows[i][t] // p
                     if q:
-                        add_row(i, t, -q)
-                    if d[i][t]:
+                        rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+                    if rows[i][t]:
                         dirty = True
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // p
+                if top[j]:
+                    q = top[j] // p
                     if q:
-                        add_col(j, t, -q)
-                    if d[t][j]:
+                        for row in itertools.chain(rows, v):
+                            row[j] -= q * row[t]
+                    if top[j]:
                         dirty = True
             if dirty:
                 # A nonzero remainder smaller than |p| now exists somewhere
@@ -261,7 +246,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 continue
             offender = None
             for i in range(t + 1, m):
-                row = d[i]
+                row = rows[i]
                 for j in range(t + 1, n):
                     if row[j] % p:
                         offender = i
@@ -272,18 +257,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 break
             # Fold the offending row into row t; re-clearing then replaces
             # the pivot by a proper divisor, which yields d_t | d_{t+1}.
-            add_row(t, offender, 1)
+            rows[t] = [a + b for a, b in zip(top, rows[offender])]
             pivot = (t, t)
         t += 1
 
     for k in range(min(m, n)):
-        if d[k][k] < 0:
-            for j in range(n):
-                d[k][j] = -d[k][j]
-            for j in range(m):
-                u[k][j] = -u[k][j]
+        if rows[k][k] < 0:
+            rows[k] = [-e for e in rows[k]]
 
-    diag = [d[k][k] for k in range(min(m, n))]
+    diag = [rows[k][k] for k in range(min(m, n))]
     rank = sum(1 for e in diag if e)
     factors = tuple(diag[:rank])
     if any(e == 0 for e in factors) or any(e != 0 for e in diag[rank:]):
@@ -292,9 +274,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
-    U = IntMatrix.from_rows(u, cols=m)
-    V = IntMatrix.from_rows(v, cols=n)
-    D = IntMatrix.from_rows(d, cols=n)
+    D = IntMatrix(m, n, (e for row in rows for e in row[:n]))
+    U = IntMatrix(m, m, (e for row in rows for e in row[n:]))
+    V = IntMatrix(n, n, (e for row in v for e in row))
     if U @ A @ V != D:
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
     return SmithDecomposition(U=U, D=D, V=V, invariant_factors=factors, rank=rank)

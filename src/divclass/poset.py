@@ -127,7 +127,7 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
     order); an element left unplaced lies on a cycle.  The covers are the
     transitive reduction, taken in reverse linear-extension order from
     bitsets of the elements each element reaches (Aho, Garey and Ullman).
-    Cycles and unknown names are rejected.
+    Cycles, unknown names and relations that are not pairs are rejected.
     """
     names = [str(x) for x in names]
     if len(set(names)) != len(names):
@@ -135,7 +135,11 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
     index = {x: i for i, x in enumerate(names)}
     above = [set() for _ in names]
     for pair in relations:
-        a, b = pair
+        try:
+            # a string would unpack character by character, so it never counts as a pair
+            a, b = () if isinstance(pair, str) else pair
+        except (TypeError, ValueError):
+            raise InputError(f"relation {pair!r} is not a pair of element names") from None
         a, b = str(a), str(b)
         for x in (a, b):
             if x not in index:
@@ -217,11 +221,9 @@ def disjoint_chain_pairs(chains: Sequence[tuple]) -> Iterator[tuple]:
                 yield first, second
 
 
-def disjoint_maximal_chain_pair(
-    poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT
-) -> Optional[ChainPair]:
+def disjoint_maximal_chain_pair(poset: Poset) -> Optional[ChainPair]:
     """First element-disjoint pair of maximal chains, if any exists."""
-    pair = next(disjoint_chain_pairs(maximal_chains(poset, limit)), None)
+    pair = next(disjoint_chain_pairs(maximal_chains(poset)), None)
     if pair is None:
         return None
     first, second = (tuple(poset.labels[i] for i in chain) for chain in pair)

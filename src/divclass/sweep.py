@@ -94,7 +94,7 @@ class SweepSummary:
         }
 
 
-def run_sweep(count: int, max_n: int, seed: int, chain_limit: int = 10**5) -> SweepSummary:
+def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
     """Evaluate every property on ``count`` seeded random posets."""
     if count < 1:
         raise InputError("sweep count must be at least 1")
@@ -137,7 +137,7 @@ def run_sweep(count: int, max_n: int, seed: int, chain_limit: int = 10**5) -> Sw
         )
 
         d = report.torsion_number
-        pairs = disjoint_chain_pairs(maximal_chains(poset, chain_limit))
+        pairs = disjoint_chain_pairs(maximal_chains(poset))
         gaps = (abs(len(first) - len(second)) for first, second in pairs)
         # the first gap that d fails to divide, where d = 0 divides only 0
         bad_gap = next((gap for gap in gaps if (gap % d if d else gap)), None)

@@ -1,0 +1,12 @@
+"""The README's Python examples run as doctests."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples():
+    failures, attempted = doctest.testfile(str(README), module_relative=False)
+    assert attempted > 0
+    assert failures == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,11 +6,15 @@ import pytest
 from divclass import (
     InputError,
     IntMatrix,
+    bound,
     minor_gcd,
     rank,
+    relation_matrix,
     smith_normal_form,
     solve_integer,
+    support_forms,
 )
+from divclass.sweep import random_poset
 
 from oracles import (
     bareiss_rank,
@@ -195,6 +200,30 @@ def test_determinism():
         second = smith_normal_form(A)
         assert first is not second
         assert first == second
+
+
+def pinned_corpus():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        rows = [[0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        yield IntMatrix.from_rows(rows, cols=n)
+    for _ in range(20):
+        m, n = rng.randint(12, 24), rng.randint(10, 18)
+        yield IntMatrix.from_rows([[rng.randint(-(10**3), 10**3) for _ in range(n)] for _ in range(m)])
+    for _ in range(200):
+        yield relation_matrix(support_forms(bound(random_poset(rng, 10))))
+
+
+def test_smith_decompositions_pinned():
+    # Cone mode prints U @ omega as the smith-basis coordinates, so the exact
+    # transforms are part of the output, not only the invariant factors.  Any
+    # change to the pivot rule or to the order of operations changes the digest.
+    digest = hashlib.sha256()
+    for A in pinned_corpus():
+        snf = smith_normal_form(A)
+        digest.update(repr((snf.U, snf.D, snf.V)).encode())
+    assert digest.hexdigest() == "f18bf11010ca3f3123c82be2c92bba4d35215a99f835dc2bc8f58033c3858c19"
 
 
 def test_matrix_validation():

@@ -37,6 +37,15 @@ def test_cycle_rejected():
         build_poset(["a"], [("a", "a")])
 
 
+@pytest.mark.parametrize(
+    "relation", ["ba", "ab", ("a", "b", "a"), ("a",), (), 7, None], ids=repr
+)
+def test_relation_that_is_not_a_pair_rejected(relation):
+    # a two-character string would otherwise unpack into a pair of names
+    with pytest.raises(InputError, match="not a pair"):
+        build_poset(["a", "b"], [relation])
+
+
 def _messy_relations(rng, n):
     """Shuffled names and a random order's relations, padded and sometimes cyclic.
 
