@@ -1,13 +1,16 @@
 """Exact integer matrices and the Smith normal form with transform tracking.
 
 Everything runs on Python's arbitrary-precision integers, so minors and
-transforms can never overflow; correctness is preferred over speed and the
-matrices handled here are small (on the order of a hundred rows).
+transforms can never overflow.
 
 The Smith elimination works on one row store ``[D | U]`` plus ``V``: a row
 operation is one statement on one row of the store, a column operation one
 pass over the rows of the store and of ``V``.  The pivot is the nonzero entry
-of least absolute value, ties at the lowest (row, col).
+of least absolute value, ties at the lowest (row, col).  The pivot search
+stops at the first entry of absolute value 1, and the divisibility fix-up
+is skipped for a unit pivot; neither can change the pivot or the result.
+Every decomposition is checked to satisfy ``U A V == D`` exactly on every
+entry, by sums that visit only nonzero entries.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise InputError(f"vector of length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple(sum(map(operator.mul, self.row(i), v)) for i in range(self.rows))
 
     def append_column(self, col: Sequence[int]) -> "IntMatrix":
         if len(col) != self.rows:
@@ -180,6 +183,35 @@ class SmithDecomposition:
     rank: int
 
 
+def _nonzeros(row: Sequence[int]) -> list:
+    return [(j, e) for j, e in enumerate(row) if e]
+
+
+def _carries(A: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> bool:
+    """Whether U @ A @ V == D, exactly, visiting only nonzero entries.
+
+    Row i of U A is the sum of u_ik A[k] over the nonzero u_ik, row i of
+    (U A) V the sum of x_j V[j] over the nonzero x_j of that row.  Each sum
+    runs over the nonzeros of the rows it adds, and no product matrix is
+    built.
+    """
+    a_rows = [_nonzeros(A.row(k)) for k in range(A.rows)]
+    v_rows = [_nonzeros(V.row(j)) for j in range(V.rows)]
+    for i in range(U.rows):
+        x = [0] * A.cols
+        for k, u in _nonzeros(U.row(i)):
+            for j, a in a_rows[k]:
+                x[j] += u * a
+        y = [0] * V.cols
+        for j, e in enumerate(x):
+            if e:
+                for l, w in v_rows[j]:
+                    y[l] += e * w
+        if tuple(y) != D.row(i):
+            return False
+    return True
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form of ``A`` with both unimodular transforms.
 
@@ -199,15 +231,21 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     def find_pivot(t):
         # Nonzero entry of least absolute value in the working submatrix;
         # row-major scan with strict improvement fixes ties at the lowest
-        # (row, col) and makes the whole computation deterministic.
+        # (row, col) and makes the whole computation deterministic.  The
+        # first entry of absolute value 1 is that entry, since no nonzero
+        # is smaller, so the scan stops there.
         best = None
         best_abs = None
         for i in range(t, m):
             row = rows[i]
+            if not any(row[t:n]):
+                continue
             for j in range(t, n):
                 e = row[j]
                 if e != 0 and (best is None or abs(e) < best_abs):
                     best, best_abs = (i, j), abs(e)
+                    if best_abs == 1:
+                        return best
         return best
 
     t = 0
@@ -244,6 +282,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 # in row t or column t, so the next pivot strictly shrinks.
                 pivot = find_pivot(t)
                 continue
+            if abs(p) == 1:
+                # Every integer is divisible by a unit pivot.
+                break
             offender = None
             for i in range(t + 1, m):
                 row = rows[i]
@@ -277,7 +318,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     D = IntMatrix(m, n, (e for row in rows for e in row[:n]))
     U = IntMatrix(m, m, (e for row in rows for e in row[n:]))
     V = IntMatrix(n, n, (e for row in v for e in row))
-    if U @ A @ V != D:
+    if not _carries(A, U, D, V):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
     return SmithDecomposition(U=U, D=D, V=V, invariant_factors=factors, rank=rank)
 

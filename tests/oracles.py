@@ -2,15 +2,17 @@
 
 Nothing here may call into divclass' own linear algebra, chain search or
 canonicalization: these are the second opinions the library is checked
-against.
+against.  The one exception is the input generator ``layered_poset``, which
+hands its relations to ``build_poset`` to make a test input, not an answer.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
 
-from divclass import Poset
+from divclass import Poset, build_poset
 
 
 def det_cofactor(rows):
@@ -209,3 +211,17 @@ def dense_class_expressions(extension, tree):
             coeffs[w][j] -= 1
     canonical = tuple(1 + sum(coeffs[i][j] for i in range(n + 1)) for j in range(m))
     return tuple(map(tuple, coeffs)), canonical
+
+
+def layered_poset(n, width=8, seed=1):
+    """Layers of ``width`` elements, two covers up per element, one skip relation per layer."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    layers = [names[i : i + width] for i in range(0, n, width)]
+    relations = []
+    for k in range(len(layers) - 1):
+        for a in layers[k]:
+            relations.extend((a, b) for b in rng.sample(layers[k + 1], min(2, len(layers[k + 1]))))
+        if k + 2 < len(layers):
+            relations.append((rng.choice(layers[k]), rng.choice(layers[k + 2])))
+    return build_poset(names, relations)

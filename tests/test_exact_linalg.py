@@ -14,6 +14,7 @@ from divclass import (
     solve_integer,
     support_forms,
 )
+from divclass import exact_linalg
 from divclass.sweep import random_poset
 
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     brute_invariant_factors,
     brute_minor_gcd,
     det_cofactor,
+    layered_poset,
     rational_rank,
 )
 
@@ -224,6 +226,65 @@ def test_smith_decompositions_pinned():
         snf = smith_normal_form(A)
         digest.update(repr((snf.U, snf.D, snf.V)).encode())
     assert digest.hexdigest() == "f18bf11010ca3f3123c82be2c92bba4d35215a99f835dc2bc8f58033c3858c19"
+
+
+def test_sparse_check_agrees_with_dense_product():
+    for A in pinned_corpus():
+        snf = smith_normal_form(A)
+        assert snf.U @ A @ snf.V == snf.D
+        assert exact_linalg._carries(A, snf.U, snf.D, snf.V)
+
+
+def with_entry_changed(M, i, j, delta):
+    entries = [list(M.row(k)) for k in range(M.rows)]
+    entries[i][j] += delta
+    return IntMatrix(M.rows, M.cols, (e for row in entries for e in row))
+
+
+def test_sparse_check_rejects_every_single_entry_change():
+    # U' = U + e E_ik changes U A V by e (row k of A V) in row i, and
+    # V' = V + e E_kl changes it by e (column k of U A) in column l; with U
+    # and V invertible, that is nonzero exactly when row k, resp. column k,
+    # of A is nonzero.  Elsewhere the product is unchanged, and so must the
+    # verdict be.
+    rng = random.Random(8)
+    matrices = [random_matrix(rng)[0] for _ in range(200)]
+    matrices += [relation_matrix(support_forms(bound(random_poset(rng, 10)))) for _ in range(50)]
+    rejected = 0
+    for A in matrices:
+        snf = smith_normal_form(A)
+        nonzero_rows = [any(A.row(k)) for k in range(A.rows)]
+        nonzero_cols = [any(A.column(k)) for k in range(A.cols)]
+        for delta in (1, -1):
+            for i in range(A.rows):
+                for k in range(A.rows):
+                    U = with_entry_changed(snf.U, i, k, delta)
+                    carries = exact_linalg._carries(A, U, snf.D, snf.V)
+                    assert carries is not nonzero_rows[k]
+                    rejected += not carries
+            for k in range(A.cols):
+                for l in range(A.cols):
+                    V = with_entry_changed(snf.V, k, l, delta)
+                    carries = exact_linalg._carries(A, snf.U, snf.D, V)
+                    assert carries is not nonzero_cols[k]
+                    rejected += not carries
+    assert rejected > 18000
+
+
+def test_smith_decompositions_pinned_at_scale():
+    # Relation matrices of Hasse diagrams: unit pivots throughout, where the
+    # pivot search stops at the first entry of absolute value 1.
+    rng = random.Random(20261019)
+    posets = [layered_poset(n) for n in (40, 80, 120)]
+    while len(posets) < 7:
+        p = random_poset(rng, 100)
+        if p.n >= 60:
+            posets.append(p)
+    digest = hashlib.sha256()
+    for p in posets:
+        snf = smith_normal_form(relation_matrix(support_forms(bound(p))))
+        digest.update(repr((snf.U, snf.D, snf.V)).encode())
+    assert digest.hexdigest() == "f52a77573ceabd87a2e21b537ad81e7f2a69f4000888fc86bd608920a6c16040"
 
 
 def test_matrix_validation():

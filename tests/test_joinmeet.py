@@ -28,7 +28,7 @@ from divclass import joinmeet, poset
 from divclass.cli import main
 from divclass.semigroup import canonical_coordinate_gcd
 from divclass.sweep import random_poset, run_sweep
-from oracles import dense_class_expressions
+from oracles import dense_class_expressions, layered_poset
 
 
 def antichain2():
@@ -148,20 +148,6 @@ def densify(cycles, rows):
     return tuple(map(tuple, table))
 
 
-def layered_poset(n, width=8, seed=1):
-    """Layers of ``width`` elements, two covers up per element, one skip relation per layer."""
-    rng = random.Random(seed)
-    names = [f"v{i}" for i in range(n)]
-    layers = [names[i : i + width] for i in range(0, n, width)]
-    relations = []
-    for k in range(len(layers) - 1):
-        for a in layers[k]:
-            relations.extend((a, b) for b in rng.sample(layers[k + 1], min(2, len(layers[k + 1]))))
-        if k + 2 < len(layers):
-            relations.append((rng.choice(layers[k]), rng.choice(layers[k + 2])))
-    return build_poset(names, relations)
-
-
 def test_sparse_cycles_match_dense_oracle():
     rng = random.Random(90)
     posets = [random_poset(rng, 10) for _ in range(2000)]
@@ -223,6 +209,15 @@ def test_rank_formula_and_freeness():
         rep = joinmeet_report(p)
         assert rep.group.free_rank == len(bound(p).edges) - (p.n + 1)
         assert rep.group.torsion_factors == ()
+
+
+def test_report_at_scale():
+    # Both routes run on all 693 Hasse edges and are cross-checked inside the report.
+    rep = joinmeet_report(layered_poset(320))
+    assert rep.num_height_one_primes == 693
+    assert rep.group.free_rank == 693 - 321
+    assert rep.group.torsion_factors == ()
+    assert rep.gorenstein == rep.pure
 
 
 def alternate_tree(extension):
