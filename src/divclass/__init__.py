@@ -20,7 +20,10 @@ from .abelian import (
     GroupStructure,
     fitting_number,
     is_zero_class,
+    minor_gcd,
     quotient_by,
+    rank,
+    solve_integer,
     structure,
     torsion_number,
 )
@@ -30,14 +33,7 @@ from .errors import (
     InternalInvariantError,
     LimitExceededError,
 )
-from .exact_linalg import (
-    IntMatrix,
-    SmithDecomposition,
-    minor_gcd,
-    rank,
-    smith_normal_form,
-    solve_integer,
-)
+from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 from .joinmeet import (
     ClassExpression,
     SpanningTree,

@@ -5,6 +5,12 @@ per relation) describes the group Z^g modulo the column span of A.  Fitting
 ideals of Z are principal, so each one is represented here by its unique
 nonnegative generator.
 
+Every invariant is read here off one Smith decomposition U A V = D per
+presentation (``AbelianPresentation.smith``): structure and Fitting numbers
+off D, membership, torsion number and free coordinates off c = U e.
+``rank``, ``minor_gcd`` and ``solve_integer`` read a matrix as the
+presentation of its cokernel.
+
 >>> zmod6 = AbelianPresentation(1, IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
 GroupStructure(free_rank=0, torsion_factors=(6,))
@@ -18,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
@@ -79,6 +85,19 @@ def _check_element(p: AbelianPresentation, e: ClassElement):
         )
 
 
+def _split_coordinates(p: AbelianPresentation, v: Sequence[int]) -> tuple:
+    """U v: the coordinates of v over the basis in which the relations are diagonal."""
+    return p.smith.U.mul_vector(v)
+
+
+def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[list]:
+    """The y with D y = c, or None: it needs d_i | c_i below the rank and c = 0 past it."""
+    quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
+    if any(r for _, r in quotients) or any(c[snf.rank :]):
+        return None
+    return [q for q, _ in quotients] + [0] * (snf.D.cols - snf.rank)
+
+
 def structure(p: AbelianPresentation) -> GroupStructure:
     """Invariant-factor decomposition of the presented group."""
     snf = p.smith
@@ -115,9 +134,7 @@ def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
     With U A V = D that holds when d_i | (U e)_i and U e vanishes past the rank.
     """
     _check_element(p, e)
-    snf = p.smith
-    c = snf.U.mul_vector(e.coords)
-    return all(x % f == 0 for x, f in zip(c, snf.invariant_factors)) and not any(c[snf.rank :])
+    return _diagonal_solution(p.smith, _split_coordinates(p, e.coords)) is not None
 
 
 def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
@@ -133,24 +150,30 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
     F = gcd(P, c_i P / f_i for i <= s), and d = 0 if F = P, else d = F.
 
     The result is 0 exactly when ``omega`` is the zero class; the two routes
-    are checked against each other and a mismatch fails loudly.
+    are checked against each other on the same c and a mismatch fails loudly.
     """
     _check_element(p, omega)
     snf = p.smith
-    c = snf.U.mul_vector(omega.coords)
-    full = math.prod(snf.invariant_factors)
+    c = _split_coordinates(p, omega.coords)
+    full = fitting_number(p, p.generators - snf.rank)
     t = math.gcd(*c[snf.rank :])
     if t:
         d = full * t
     else:
         reduced = math.gcd(full, *(x * (full // f) for x, f in zip(c, snf.invariant_factors)))
         d = 0 if reduced == full else reduced
-    if (d == 0) != is_zero_class(p, omega):
+    if (d == 0) != (_diagonal_solution(snf, c) is not None):
         raise InternalInvariantError(
             "Fitting-ideal torsion number and membership test disagree "
             f"(d={d}, generators={p.generators})"
         )
     return d
+
+
+def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:
+    """Coordinates of ``e`` over the free part of the Smith basis: (U e)_i past the rank."""
+    _check_element(p, e)
+    return _split_coordinates(p, e.coords)[p.smith.rank :]
 
 
 def free_presentation(r: int) -> AbelianPresentation:
@@ -161,3 +184,33 @@ def free_presentation(r: int) -> AbelianPresentation:
 def element_gcd(e: ClassElement) -> int:
     """gcd of the absolute coordinate values; 0 for the zero element."""
     return math.gcd(*(abs(c) for c in e.coords))
+
+
+def rank(A: IntMatrix) -> int:
+    """Rational rank of ``A`` (the number of nonzero invariant factors)."""
+    return AbelianPresentation(A.rows, A).smith.rank
+
+
+def minor_gcd(A: IntMatrix, k: int) -> int:
+    """Nonnegative generator of the ideal of k x k minors of ``A``.
+
+    Equals d_1 * ... * d_k for k at most the rank, and 0 beyond it;
+    I_0 is the whole ring, so k = 0 returns 1.
+    """
+    if not 0 <= k <= min(A.rows, A.cols):
+        raise InputError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
+    return fitting_number(AbelianPresentation(A.rows, A), A.rows - k)
+
+
+def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
+    """Some integer solution x of A @ x = b, or None if there is none.
+
+    Solved through the Smith transforms: with U A V = D the system becomes
+    D y = U b and x = V y, where D is diagonal so each coordinate is a
+    single exact-divisibility test.
+    """
+    if len(b) != A.rows:
+        raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
+    p = AbelianPresentation(A.rows, A)
+    y = _diagonal_solution(p.smith, _split_coordinates(p, b))
+    return None if y is None else p.smith.V.mul_vector(y)

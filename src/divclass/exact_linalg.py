@@ -1,7 +1,10 @@
 """Exact integer matrices and the Smith normal form with transform tracking.
 
-Everything runs on Python's arbitrary-precision integers, so minors and
-transforms can never overflow.
+Everything runs on Python's arbitrary-precision integers, so transforms can
+never overflow.  This module only eliminates: every reading of a
+decomposition (rank, minors, solutions, group invariants) lives in
+:mod:`divclass.abelian`, whose ``AbelianPresentation.smith`` is the one
+caller of ``smith_normal_form``.
 
 The Smith elimination works on one row store ``[D | U]`` plus ``V``: a row
 operation is one statement on one row of the store, a column operation one
@@ -16,7 +19,6 @@ entry, by sums that visit only nonzero entries.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -321,47 +323,3 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     if not _carries(A, U, D, V):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
     return SmithDecomposition(U=U, D=D, V=V, invariant_factors=factors, rank=rank)
-
-
-def rank(A: IntMatrix) -> int:
-    """Rational rank of ``A`` (the number of nonzero invariant factors)."""
-    return smith_normal_form(A).rank
-
-
-def minor_gcd(A: IntMatrix, k: int) -> int:
-    """Nonnegative generator of the ideal of k x k minors of ``A``.
-
-    Equals d_1 * ... * d_k for k at most the rank, and 0 beyond it;
-    I_0 is the whole ring, so k = 0 returns 1.
-    """
-    if not 0 <= k <= min(A.rows, A.cols):
-        raise InputError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
-    if k == 0:
-        return 1
-    snf = smith_normal_form(A)
-    if k > snf.rank:
-        return 0
-    return math.prod(snf.invariant_factors[:k])
-
-
-def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
-    """Some integer solution x of A @ x = b, or None if there is none.
-
-    Solved through the Smith transforms: with U A V = D the system becomes
-    D y = U b and x = V y, where D is diagonal so each coordinate is a
-    single exact-divisibility test.
-    """
-    if len(b) != A.rows:
-        raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
-    snf = smith_normal_form(A)
-    c = snf.U.mul_vector(b)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        if i < snf.rank:
-            d = snf.invariant_factors[i]
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return snf.V.mul_vector(y)

@@ -213,10 +213,8 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     return ClassGroupReport(
         num_height_one_primes=r,
         group=group,
-        canonical=canonical,
         canonical_in_basis=expr.canonical_coords,
         torsion_number=d_matrix,
-        gorenstein=(d_matrix == 0),
         pure=extension.is_graded(),
         cycles=expr.cycles,
     )

@@ -190,25 +190,25 @@ def is_pure(poset: Poset) -> bool:
 
 
 def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:
-    """All maximal chains as index tuples, in depth-first enumeration order."""
+    """All maximal chains as index tuples, in depth-first enumeration order.
+
+    An explicit stack of (element, chain length) replaces recursion, so a
+    long chain costs no call depth; up covers are pushed in reverse order.
+    """
     chains: list = []
-
-    def extend(chain):
-        ups = poset.up_covers(chain[-1])
-        if not ups:
-            if len(chains) >= limit:
-                raise LimitExceededError(
-                    f"maximal-chain enumeration exceeded the limit of {limit}"
-                )
-            chains.append(tuple(chain))
-            return
-        for w in ups:
-            chain.append(w)
-            extend(chain)
-            chain.pop()
-
-    for start in poset.minimals():
-        extend([start])
+    chain: list = []
+    pending = [(start, 1) for start in reversed(poset.minimals())]
+    while pending:
+        v, length = pending.pop()
+        del chain[length - 1 :]
+        chain.append(v)
+        ups = poset.up_covers(v)
+        if ups:
+            pending.extend((w, length + 1) for w in reversed(ups))
+            continue
+        if len(chains) >= limit:
+            raise LimitExceededError(f"maximal-chain enumeration exceeded the limit of {limit}")
+        chains.append(tuple(chain))
     return chains
 
 

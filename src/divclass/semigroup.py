@@ -25,6 +25,7 @@ from .abelian import (
     ClassElement,
     GroupStructure,
     element_gcd,
+    free_coordinates,
     free_presentation,
     structure,
     torsion_number,
@@ -101,7 +102,7 @@ class ConeDescription:
 class ClassGroupReport:
     """Everything this library computes about one ring.
 
-    ``canonical`` is always the all-ones element over the height-one prime
+    The canonical class is the all-ones element over the height-one prime
     classes.  ``canonical_in_basis`` is its coordinate vector over a free
     basis when the class group is free (None otherwise); its coordinate gcd
     equals the torsion number.  Set only in poset mode: ``pure``, whether
@@ -112,12 +113,15 @@ class ClassGroupReport:
 
     num_height_one_primes: int
     group: GroupStructure
-    canonical: ClassElement
     canonical_in_basis: Optional[tuple]
     torsion_number: int
-    gorenstein: bool
     pure: Optional[bool] = None
     cycles: Optional[tuple] = None
+
+    @property
+    def gorenstein(self) -> bool:
+        """Whether the canonical class is trivial, i.e. the torsion number is 0."""
+        return self.torsion_number == 0
 
 
 def presentation_from_forms(forms: Sequence[Sequence[int]], dim: int) -> AbelianPresentation:
@@ -133,20 +137,9 @@ def cone_report(cone: ConeDescription) -> ClassGroupReport:
     group = structure(presentation)
     canonical = ClassElement((1,) * r)
     d = torsion_number(presentation, canonical)
-    basis_coords = None
-    if not group.torsion_factors:
-        # Left Smith transform sends generator coordinates to a split basis;
-        # the free coordinates are the ones past the relation rank.
-        snf = presentation.smith
-        basis_coords = tuple(snf.U.mul_vector(canonical.coords)[snf.rank :])
+    coords = None if group.torsion_factors else free_coordinates(presentation, canonical)
     return ClassGroupReport(
-        num_height_one_primes=r,
-        group=group,
-        canonical=canonical,
-        canonical_in_basis=basis_coords,
-        torsion_number=d,
-        gorenstein=(d == 0),
-        pure=None,
+        num_height_one_primes=r, group=group, canonical_in_basis=coords, torsion_number=d
     )
 
 

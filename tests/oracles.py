@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from divclass import Poset, build_poset
+from divclass import LimitExceededError, Poset, build_poset
 
 
 def det_cofactor(rows):
@@ -142,6 +142,31 @@ def brute_maximal_chain_cardinalities(n, covers):
         if start not in downs:
             walk(start, 1)
     return sizes
+
+
+def recursive_maximal_chains(poset, limit):
+    """Maximal chains by recursive depth-first search, one call per chain element.
+
+    The recursive form of ``maximal_chains``: same order, and the same
+    ``LimitExceededError`` on the chain past the limit.
+    """
+    chains = []
+
+    def extend(chain):
+        ups = poset.up_covers(chain[-1])
+        if not ups:
+            if len(chains) >= limit:
+                raise LimitExceededError(f"maximal-chain enumeration exceeded the limit of {limit}")
+            chains.append(tuple(chain))
+            return
+        for w in ups:
+            chain.append(w)
+            extend(chain)
+            chain.pop()
+
+    for start in poset.minimals():
+        extend([start])
+    return chains
 
 
 def cyclic_quotient_order(modulus, element):

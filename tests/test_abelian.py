@@ -9,13 +9,15 @@ from divclass import (
     GroupStructure,
     InputError,
     IntMatrix,
+    InternalInvariantError,
+    SmithDecomposition,
     fitting_number,
     is_zero_class,
     quotient_by,
     structure,
     torsion_number,
 )
-from divclass.abelian import element_gcd, free_presentation
+from divclass.abelian import element_gcd, free_coordinates, free_presentation
 
 from oracles import brute_minor_gcd, cyclic_quotient_order
 
@@ -84,6 +86,26 @@ def test_quotient_dimension_mismatch():
         quotient_by(free_presentation(2), ClassElement((1,)))
 
 
+def test_element_length_checked_by_every_reader():
+    for reader in (quotient_by, is_zero_class, torsion_number, free_coordinates):
+        with pytest.raises(InputError):
+            reader(free_presentation(2), ClassElement((1,)))
+
+
+def test_free_coordinates_examples():
+    # Z^3 has no relations, so the Smith basis is the generator basis
+    assert free_coordinates(free_presentation(3), ClassElement((4, -1, 0))) == (4, -1, 0)
+    # Z/6 has no free part
+    assert free_coordinates(presentation([(6,)]), ClassElement((5,))) == ()
+    # Z^2 / <(1, 1)> = Z: an element's coordinate is zero exactly for the zero class
+    line = presentation([(1, 1)])
+    assert len(free_coordinates(line, ClassElement((1, 0)))) == 1
+    for coords in [(1, 1), (3, 3), (0, 0), (1, 0), (2, -1)]:
+        e = ClassElement(coords)
+        assert (free_coordinates(line, e) == (0,)) == is_zero_class(line, e)
+        assert abs(free_coordinates(line, e)[0]) == abs(coords[0] - coords[1])
+
+
 def test_is_zero_class_examples():
     zmod6 = presentation([(6,)])
     assert is_zero_class(zmod6, ClassElement((0,)))
@@ -114,6 +136,16 @@ def test_torsion_number_free_is_coordinate_gcd():
         e = ClassElement(coords)
         assert torsion_number(free_presentation(r), e) == element_gcd(e)
         assert element_gcd(e) == math.gcd(*(abs(c) for c in coords))
+
+
+def test_torsion_cross_check_raises_on_disagreement():
+    # No elimination returns this decomposition: with the factor -2 the
+    # Fitting formula reads d = 2, while 2 = (-1)(-2) passes the membership test.
+    p = presentation([(2,)])
+    one = IntMatrix.identity(1)
+    p.__dict__["smith"] = SmithDecomposition(one, IntMatrix.from_rows([[-2]]), one, (-2,), 1)
+    with pytest.raises(InternalInvariantError, match="disagree"):
+        torsion_number(p, ClassElement((2,)))
 
 
 def test_free_quotient_structure():

@@ -14,7 +14,11 @@ from divclass import (
 )
 from divclass.sweep import random_poset
 
-from oracles import brute_maximal_chain_cardinalities, networkx_canonical_poset
+from oracles import (
+    brute_maximal_chain_cardinalities,
+    networkx_canonical_poset,
+    recursive_maximal_chains,
+)
 
 
 def test_single_element():
@@ -192,6 +196,27 @@ def test_chain_limit():
     assert len(maximal_chains(p)) == 8
     with pytest.raises(LimitExceededError):
         maximal_chains(p, limit=3)
+
+
+def test_maximal_chains_match_recursive_oracle():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        p = random_poset(rng, 10)
+        chains = maximal_chains(p)
+        assert chains == recursive_maximal_chains(p, len(chains))
+        if not chains:  # the empty poset
+            continue
+        # both stop on the first chain past the limit
+        for enumerate_chains in (maximal_chains, recursive_maximal_chains):
+            with pytest.raises(LimitExceededError):
+                enumerate_chains(p, len(chains) - 1)
+
+
+def test_long_chain_needs_no_recursion():
+    # one frame per chain element would pass the interpreter's recursion limit
+    p = two_chains_poset(1500, 1)
+    assert [len(c) for c in maximal_chains(p)] == [1501, 2]
+    assert disjoint_maximal_chain_pair(p).lengths == (1500, 1)
 
 
 def test_two_chains_builder():

@@ -5,20 +5,31 @@ import sys
 import pytest
 
 from divclass import (
+    AbelianPresentation,
+    ClassElement,
     ConeDescription,
     GroupStructure,
     InputError,
+    IntMatrix,
     bound,
     cone_report,
     determinantal_invariants,
+    fitting_number,
+    is_zero_class,
     joinmeet_report,
+    minor_gcd,
     normalize_form,
+    rank,
     segre_veronese_cone,
+    solve_integer,
+    structure,
     support_forms,
+    torsion_number,
     two_chains_poset,
     veronese_cone,
 )
 from divclass import exact_linalg
+from divclass.abelian import free_coordinates
 from divclass.semigroup import canonical_coordinate_gcd
 from divclass.sweep import random_poset
 
@@ -191,14 +202,33 @@ def test_row_and_column_permutation_invariance():
         assert rep.gorenstein == reference.gorenstein
 
 
+def read_every_invariant():
+    # Z + Z/2 + Z/6 on four generators, read through every presentation reader
+    p = AbelianPresentation(4, IntMatrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 6], [0, 0, 0]]))
+    e = ClassElement((1, 1, 1, 1))
+    structure(p)
+    for i in range(p.generators + 1):
+        fitting_number(p, i)
+    is_zero_class(p, e)
+    torsion_number(p, e)
+    free_coordinates(p, e)
+
+
+MATRIX = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+
+
 @pytest.mark.parametrize(
     "compute",
     [
         lambda: joinmeet_report(two_chains_poset(3, 1)),
         lambda: cone_report(segre_veronese_cone(4, 2, 9, 3)),  # free: reads canonical_in_basis
         lambda: cone_report(veronese_cone(4, 6)),  # torsion group
+        read_every_invariant,
+        lambda: solve_integer(MATRIX, [2, -6, 10]),
+        lambda: minor_gcd(MATRIX, 2),
+        lambda: rank(MATRIX),
     ],
-    ids=["joinmeet", "cone-free", "cone-torsion"],
+    ids=["joinmeet", "cone-free", "cone-torsion", "every-reader", "solve_integer", "minor_gcd", "rank"],
 )
 def test_one_smith_elimination_per_report(monkeypatch, compute):
     # count calls through every divclass reference to smith_normal_form
