@@ -7,7 +7,9 @@ nonnegative generator.
 
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
-off D, membership, torsion number and free coordinates off c = U e.
+off D, membership, torsion number and free coordinates off c = U e.  The
+products U e and V y are taken off the decomposition's sparse store, so no
+reader builds a dense transform.
 ``rank``, ``minor_gcd`` and ``solve_integer`` read a matrix as the
 presentation of its cokernel.
 
@@ -87,7 +89,7 @@ def _check_element(p: AbelianPresentation, e: ClassElement):
 
 def _split_coordinates(p: AbelianPresentation, v: Sequence[int]) -> tuple:
     """U v: the coordinates of v over the basis in which the relations are diagonal."""
-    return p.smith.U.mul_vector(v)
+    return p.smith.u_times(v)
 
 
 def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[list]:
@@ -95,7 +97,7 @@ def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[li
     quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
     if any(r for _, r in quotients) or any(c[snf.rank :]):
         return None
-    return [q for q, _ in quotients] + [0] * (snf.D.cols - snf.rank)
+    return [q for q, _ in quotients] + [0] * (len(snf.v_columns) - snf.rank)
 
 
 def structure(p: AbelianPresentation) -> GroupStructure:
@@ -213,4 +215,4 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
     p = AbelianPresentation(A.rows, A)
     y = _diagonal_solution(p.smith, _split_coordinates(p, b))
-    return None if y is None else p.smith.V.mul_vector(y)
+    return None if y is None else p.smith.v_times(y)

@@ -6,21 +6,27 @@ decomposition (rank, minors, solutions, group invariants) lives in
 :mod:`divclass.abelian`, whose ``AbelianPresentation.smith`` is the one
 caller of ``smith_normal_form``.
 
-The Smith elimination works on one row store ``[D | U]`` plus ``V``: a row
-operation is one statement on one row of the store, a column operation one
-pass over the rows of the store and of ``V``.  The pivot is the nonzero entry
-of least absolute value, ties at the lowest (row, col).  The pivot search
-stops at the first entry of absolute value 1, and the divisibility fix-up
-is skipped for a unit pivot; neither can change the pivot or the result.
-Every decomposition is checked to satisfy ``U A V == D`` exactly on every
-entry, by sums that visit only nonzero entries.
+The Smith elimination works on one sparse row store ``[D | U]`` plus ``V``
+kept by columns, each holding only its nonzeros.  A row operation is one
+pass over the nonzeros of one row of the store.  A column operation touches
+only the nonzeros of one column of ``V`` and the store rows still nonzero in
+the pivot column (the pivot row and the rows the row loop left a remainder
+in), and a column swap of ``V`` is a list swap.  The pivot is the nonzero
+entry of least absolute value, ties at the lowest (row, col).  The pivot
+search stops at the first row holding an entry of absolute value 1, and the
+divisibility fix-up is skipped for a unit pivot; neither can change the
+pivot or the result.  Every decomposition is checked to satisfy
+``U A V == D`` exactly on every entry, by sums over the sparse rows.  The
+returned ``SmithDecomposition`` keeps the store; its dense ``U``, ``D`` and
+``V`` are built only when read.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -176,40 +182,100 @@ class SmithDecomposition:
 
     The positive diagonal entries are the invariant factors and satisfy
     d_1 | d_2 | ... | d_s; ``rank`` equals s.
+
+    The transforms are kept as the elimination left them, without zeros:
+    ``store[i]`` is row i of ``[D | U]`` as ``{column: entry}``, where
+    column n + k is column k of ``U`` (n the column count of A), and
+    ``v_columns[j]`` is column j of ``V`` as ``{row: entry}``.  ``u_times``
+    and ``v_times`` multiply off that store; the dense ``U``, ``D`` and
+    ``V`` are built on first access.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
     invariant_factors: tuple
     rank: int
+    store: tuple = field(hash=False)
+    v_columns: tuple = field(hash=False)
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        m, n = len(self.store), len(self.v_columns)
+        return IntMatrix(m, m, (row.get(n + k, 0) for row in self.store for k in range(m)))
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        m, n = len(self.store), len(self.v_columns)
+        return IntMatrix(m, n, (row.get(j, 0) for row in self.store for j in range(n)))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = len(self.v_columns)
+        return IntMatrix(n, n, (column.get(i, 0) for i in range(n) for column in self.v_columns))
+
+    def u_times(self, v: Sequence[int]) -> tuple:
+        """U v, over the nonzeros of the ``U`` part of each store row."""
+        m, n = len(self.store), len(self.v_columns)
+        if len(v) != m:
+            raise InputError(f"vector of length {len(v)} does not match {m} columns")
+        return tuple(sum(e * v[k - n] for k, e in row.items() if k >= n) for row in self.store)
+
+    def v_times(self, y: Sequence[int]) -> tuple:
+        """V y, over the nonzeros of the columns of ``V`` that y weights."""
+        n = len(self.v_columns)
+        if len(y) != n:
+            raise InputError(f"vector of length {len(y)} does not match {n} columns")
+        x = [0] * n
+        for c, column in zip(y, self.v_columns):
+            if c:
+                for i, w in column.items():
+                    x[i] += c * w
+        return tuple(x)
 
 
 def _nonzeros(row: Sequence[int]) -> list:
-    return [(j, e) for j, e in enumerate(row) if e]
+    return [(j, row[j]) for j in itertools.compress(range(len(row)), row)]
 
 
-def _carries(A: IntMatrix, U: IntMatrix, D: IntMatrix, V: IntMatrix) -> bool:
-    """Whether U @ A @ V == D, exactly, visiting only nonzero entries.
+def _add_multiple(row: dict, other: dict, q: int) -> None:
+    """row += q * other, in place, dropping the entries that become zero."""
+    get = row.get
+    for k, b in other.items():
+        e = get(k, 0) + q * b
+        if e:
+            row[k] = e
+        else:
+            del row[k]
+
+
+def _carries(A: IntMatrix, store: Sequence[dict], v_columns: Sequence[dict]) -> bool:
+    """Whether U @ A @ V == D, exactly, for the sparse store of a decomposition.
 
     Row i of U A is the sum of u_ik A[k] over the nonzero u_ik, row i of
-    (U A) V the sum of x_j V[j] over the nonzero x_j of that row.  Each sum
-    runs over the nonzeros of the rows it adds, and no product matrix is
-    built.
+    (U A) V the sum of x_j V[j] over the nonzero x_j of that row; row i of
+    the product must equal the ``D`` part of store row i on every entry.
+    Each sum runs over the nonzeros of the rows it adds, and no product
+    matrix is built.
     """
+    n = A.cols
     a_rows = [_nonzeros(A.row(k)) for k in range(A.rows)]
-    v_rows = [_nonzeros(V.row(j)) for j in range(V.rows)]
-    for i in range(U.rows):
-        x = [0] * A.cols
-        for k, u in _nonzeros(U.row(i)):
-            for j, a in a_rows[k]:
-                x[j] += u * a
-        y = [0] * V.cols
-        for j, e in enumerate(x):
-            if e:
-                for l, w in v_rows[j]:
-                    y[l] += e * w
-        if tuple(y) != D.row(i):
+    v_rows = [[] for _ in range(n)]
+    for l, column in enumerate(v_columns):
+        for j, w in column.items():
+            v_rows[j].append((l, w))
+    for row in store:
+        d = [0] * n
+        x = [0] * n
+        for k, e in row.items():
+            if k < n:
+                d[k] = e
+            else:
+                for j, a in a_rows[k - n]:
+                    x[j] += e * a
+        y = [0] * n
+        for j in itertools.compress(range(n), x):
+            e = x[j]
+            for l, w in v_rows[j]:
+                y[l] += e * w
+        if y != d:
             return False
     return True
 
@@ -224,30 +290,41 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = A.rows, A.cols
-    # Row i of the store is row i of D followed by row i of U, so every row
-    # operation is one statement on one list; column operations run over the
-    # rows of the store and of V, and never reach the U part (index >= n).
-    rows = [list(A.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
-    v = [[int(i == k) for k in range(n)] for i in range(n)]
+    # Row i of the store is row i of D followed by row i of U (column n + k),
+    # without zeros, so every row operation is one pass over one row's
+    # nonzeros.  V is kept by columns: a column swap is a list swap, and a
+    # column operation on V one pass over the nonzeros of one column.
+    rows = [dict(_nonzeros(A.row(i))) for i in range(m)]
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    v = [{j: 1} for j in range(n)]
+    # Positions of the store rows whose D part is zero.  Such a row is never
+    # the pivot row, nor nonzero in a pivot column, so no operation changes
+    # its D part again: it only moves, in a swap with the pivot row.
+    empty = set()
 
     def find_pivot(t):
-        # Nonzero entry of least absolute value in the working submatrix;
-        # row-major scan with strict improvement fixes ties at the lowest
-        # (row, col) and makes the whole computation deterministic.  The
-        # first entry of absolute value 1 is that entry, since no nonzero
-        # is smaller, so the scan stops there.
+        # Nonzero entry of least absolute value in the working submatrix,
+        # ties at the lowest (row, col): the rows are scanned in order and
+        # only a strictly smaller entry replaces the best so far, while
+        # within a row the least (absolute value, column) wins.  Below row
+        # t-1 the D part lies in columns t..n-1, so it is the keys below n.
+        # No nonzero is smaller than 1, so the first row holding a unit
+        # settles the search.
         best = None
         best_abs = None
         for i in range(t, m):
-            row = rows[i]
-            if not any(row[t:n]):
+            if i in empty:
                 continue
-            for j in range(t, n):
-                e = row[j]
-                if e != 0 and (best is None or abs(e) < best_abs):
-                    best, best_abs = (i, j), abs(e)
-                    if best_abs == 1:
-                        return best
+            entries = [(abs(e), j) for j, e in rows[i].items() if j < n]
+            if not entries:
+                empty.add(i)
+                continue
+            a, j = min(entries)
+            if best is None or a < best_abs:
+                best, best_abs = (i, j), a
+                if a == 1:
+                    return best
         return best
 
     t = 0
@@ -258,27 +335,46 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         while True:
             i, j = pivot
             rows[t], rows[i] = rows[i], rows[t]
+            if t in empty:
+                empty.remove(t)
+                empty.add(i)
             if j != t:
-                for row in itertools.chain(rows, v):
-                    row[t], row[j] = row[j], row[t]
+                # rows above t are zero in both columns
+                for row in rows[t:]:
+                    if t in row or j in row:
+                        a, b = row.pop(t, 0), row.pop(j, 0)
+                        if b:
+                            row[t] = b
+                        if a:
+                            row[j] = a
+                v[t], v[j] = v[j], v[t]
             top = rows[t]
             p = top[t]
-            dirty = False
+            # The rows nonzero in column t after the row loop: the pivot row
+            # and those left with a remainder.  No other row is touched by a
+            # column operation, which subtracts a multiple of column t.
+            remainders = [top]
             for i in range(t + 1, m):
-                if rows[i][t]:
-                    q = rows[i][t] // p
+                row = rows[i]
+                if t in row:
+                    q = row[t] // p
                     if q:
-                        rows[i] = [a - q * b for a, b in zip(rows[i], top)]
-                    if rows[i][t]:
-                        dirty = True
-            for j in range(t + 1, n):
-                if top[j]:
-                    q = top[j] // p
-                    if q:
-                        for row in itertools.chain(rows, v):
-                            row[j] -= q * row[t]
-                    if top[j]:
-                        dirty = True
+                        _add_multiple(row, top, -q)
+                    if t in row:
+                        remainders.append(row)
+            dirty = len(remainders) > 1
+            for j in [k for k in top if t < k < n]:
+                q = top[j] // p
+                if q:
+                    for row in remainders:
+                        e = row.get(j, 0) - q * row[t]
+                        if e:
+                            row[j] = e
+                        else:
+                            del row[j]
+                    _add_multiple(v[j], v[t], -q)
+                if j in top:
+                    dirty = True
             if dirty:
                 # A nonzero remainder smaller than |p| now exists somewhere
                 # in row t or column t, so the next pivot strictly shrinks.
@@ -287,28 +383,25 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if abs(p) == 1:
                 # Every integer is divisible by a unit pivot.
                 break
-            offender = None
-            for i in range(t + 1, m):
-                row = rows[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # Row t and column t are clear, so below row t the D part lies
+            # in columns t+1..n-1.
+            offender = next(
+                (i for i in range(t + 1, m) if any(e % p for k, e in rows[i].items() if k < n)),
+                None,
+            )
             if offender is None:
                 break
             # Fold the offending row into row t; re-clearing then replaces
             # the pivot by a proper divisor, which yields d_t | d_{t+1}.
-            rows[t] = [a + b for a, b in zip(top, rows[offender])]
+            _add_multiple(top, rows[offender], 1)
             pivot = (t, t)
         t += 1
 
     for k in range(min(m, n)):
-        if rows[k][k] < 0:
-            rows[k] = [-e for e in rows[k]]
+        if rows[k].get(k, 0) < 0:
+            rows[k] = {j: -e for j, e in rows[k].items()}
 
-    diag = [rows[k][k] for k in range(min(m, n))]
+    diag = [rows[k].get(k, 0) for k in range(min(m, n))]
     rank = sum(1 for e in diag if e)
     factors = tuple(diag[:rank])
     if any(e == 0 for e in factors) or any(e != 0 for e in diag[rank:]):
@@ -317,9 +410,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
-    D = IntMatrix(m, n, (e for row in rows for e in row[:n]))
-    U = IntMatrix(m, m, (e for row in rows for e in row[n:]))
-    V = IntMatrix(n, n, (e for row in v for e in row))
-    if not _carries(A, U, D, V):
+    if not _carries(A, rows, v):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
-    return SmithDecomposition(U=U, D=D, V=V, invariant_factors=factors, rank=rank)
+    return SmithDecomposition(invariant_factors=factors, rank=rank, store=tuple(rows), v_columns=tuple(v))

@@ -37,10 +37,23 @@ from .semigroup import ClassGroupReport
 
 @dataclass(frozen=True)
 class SupportForm:
-    """Coefficients of one facet form over (z_0, ..., z_n), with its edge."""
+    """One facet form over (z_0, ..., z_n), with its edge.
 
-    coeffs: tuple
+    ``terms`` holds its nonzero coefficients as ``(index, coeff)`` pairs, at
+    most two; ``width`` is n + 1, the length of the dense ``coeffs``.
+    """
+
+    terms: tuple
+    width: int
     source_edge: tuple
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient tuple over (z_0, ..., z_n)."""
+        coeffs = [0] * self.width
+        for c, a in self.terms:
+            coeffs[c] = a
+        return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -72,15 +85,12 @@ class ClassExpression:
 
 def support_forms(extension: BoundedPoset) -> tuple:
     """One support form per Hasse edge, in the enumeration order of ``bound``."""
-    n = extension.base.n
+    width = extension.base.n + 1
     top = extension.top
     forms = []
     for u, v in extension.edges:
-        coeffs = [0] * (n + 1)
-        coeffs[u] = 1
-        if v != top:
-            coeffs[v] = -1
-        forms.append(SupportForm(tuple(coeffs), (u, v)))
+        terms = ((u, 1),) if v == top else ((u, 1), (v, -1))
+        forms.append(SupportForm(terms, width, (u, v)))
     return tuple(forms)
 
 
@@ -164,7 +174,7 @@ def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) ->
     """
     if len(expr.cycles) != len(tree.nontree_edges):
         return False
-    rows = {f.source_edge: [(c, a) for c, a in enumerate(f.coeffs) if a] for f in forms}
+    rows = {f.source_edge: f.terms for f in forms}
     tree_rows = [rows[e] for e in tree.tree_edges]
     for edge, cycle in zip(tree.nontree_edges, expr.cycles):
         total = dict(rows[edge])

@@ -4,15 +4,18 @@ Nothing here may call into divclass' own linear algebra, chain search or
 canonicalization: these are the second opinions the library is checked
 against.  The one exception is the input generator ``layered_poset``, which
 hands its relations to ``build_poset`` to make a test input, not an answer.
+``dense_smith_normal_form`` stores its result in ``IntMatrix`` values, a
+container only, so that it compares directly with a ``SmithDecomposition``.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
 
-from divclass import LimitExceededError, Poset, build_poset
+from divclass import IntMatrix, LimitExceededError, Poset, build_poset
 
 
 def det_cofactor(rows):
@@ -250,3 +253,92 @@ def layered_poset(n, width=8, seed=1):
         if k + 2 < len(layers):
             relations.append((rng.choice(layers[k]), rng.choice(layers[k + 2])))
     return build_poset(names, relations)
+
+
+def dense_smith_normal_form(A):
+    """The dense Smith elimination that ``smith_normal_form`` replaced.
+
+    Same pivot rule and order of operations, on dense ``[D | U]`` rows and
+    dense ``V`` rows.  Returns ``(U, D, V, invariant_factors, rank)``, the
+    transforms as ``IntMatrix`` values.  It checks nothing itself: a test
+    that finds it equal to ``smith_normal_form``, which checks ``U A V = D``
+    exactly, has checked both.
+    """
+    m, n = A.rows, A.cols
+    rows = [list(A.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
+    v = [[int(i == k) for k in range(n)] for i in range(n)]
+
+    def find_pivot(t):
+        best = None
+        best_abs = None
+        for i in range(t, m):
+            row = rows[i]
+            if not any(row[t:n]):
+                continue
+            for j in range(t, n):
+                e = row[j]
+                if e != 0 and (best is None or abs(e) < best_abs):
+                    best, best_abs = (i, j), abs(e)
+                    if best_abs == 1:
+                        return best
+        return best
+
+    t = 0
+    while t < min(m, n):
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        while True:
+            i, j = pivot
+            rows[t], rows[i] = rows[i], rows[t]
+            if j != t:
+                for row in itertools.chain(rows, v):
+                    row[t], row[j] = row[j], row[t]
+            top = rows[t]
+            p = top[t]
+            dirty = False
+            for i in range(t + 1, m):
+                if rows[i][t]:
+                    q = rows[i][t] // p
+                    if q:
+                        rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+                    if rows[i][t]:
+                        dirty = True
+            for j in range(t + 1, n):
+                if top[j]:
+                    q = top[j] // p
+                    if q:
+                        for row in itertools.chain(rows, v):
+                            row[j] -= q * row[t]
+                    if top[j]:
+                        dirty = True
+            if dirty:
+                pivot = find_pivot(t)
+                continue
+            if abs(p) == 1:
+                break
+            offender = None
+            for i in range(t + 1, m):
+                row = rows[i]
+                for j in range(t + 1, n):
+                    if row[j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            rows[t] = [a + b for a, b in zip(top, rows[offender])]
+            pivot = (t, t)
+        t += 1
+
+    for k in range(min(m, n)):
+        if rows[k][k] < 0:
+            rows[k] = [-e for e in rows[k]]
+
+    diag = [rows[k][k] for k in range(min(m, n))]
+    rank = sum(1 for e in diag if e)
+    D = IntMatrix(m, n, (e for row in rows for e in row[:n]))
+    U = IntMatrix(m, m, (e for row in rows for e in row[n:]))
+    V = IntMatrix(n, n, (e for row in v for e in row))
+    return U, D, V, tuple(diag[:rank]), rank

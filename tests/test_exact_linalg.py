@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     bounded_solve_exists,
     brute_invariant_factors,
     brute_minor_gcd,
+    dense_smith_normal_form,
     det_cofactor,
     layered_poset,
     rational_rank,
@@ -232,7 +234,18 @@ def test_sparse_check_agrees_with_dense_product():
     for A in pinned_corpus():
         snf = smith_normal_form(A)
         assert snf.U @ A @ snf.V == snf.D
-        assert exact_linalg._carries(A, snf.U, snf.D, snf.V)
+        assert exact_linalg._carries(A, snf.store, snf.v_columns)
+
+
+def sparse_store(U, D, V):
+    """The store ``smith_normal_form`` keeps, for dense U, D, V: rows of [D | U] and columns of V."""
+    n = D.cols
+    store = [
+        {**{j: e for j, e in enumerate(D.row(i)) if e}, **{n + k: e for k, e in enumerate(U.row(i)) if e}}
+        for i in range(D.rows)
+    ]
+    v_columns = [{i: e for i, e in enumerate(V.column(j)) if e} for j in range(V.cols)]
+    return store, v_columns
 
 
 def with_entry_changed(M, i, j, delta):
@@ -259,13 +272,13 @@ def test_sparse_check_rejects_every_single_entry_change():
             for i in range(A.rows):
                 for k in range(A.rows):
                     U = with_entry_changed(snf.U, i, k, delta)
-                    carries = exact_linalg._carries(A, U, snf.D, snf.V)
+                    carries = exact_linalg._carries(A, *sparse_store(U, snf.D, snf.V))
                     assert carries is not nonzero_rows[k]
                     rejected += not carries
             for k in range(A.cols):
                 for l in range(A.cols):
                     V = with_entry_changed(snf.V, k, l, delta)
-                    carries = exact_linalg._carries(A, snf.U, snf.D, V)
+                    carries = exact_linalg._carries(A, *sparse_store(snf.U, snf.D, V))
                     assert carries is not nonzero_cols[k]
                     rejected += not carries
     assert rejected > 18000
@@ -285,6 +298,60 @@ def test_smith_decompositions_pinned_at_scale():
         snf = smith_normal_form(relation_matrix(support_forms(bound(p))))
         digest.update(repr((snf.U, snf.D, snf.V)).encode())
     assert digest.hexdigest() == "f52a77573ceabd87a2e21b537ad81e7f2a69f4000888fc86bd608920a6c16040"
+
+
+def matches_dense_elimination(A):
+    snf = smith_normal_form(A)
+    assert (snf.U, snf.D, snf.V, snf.invariant_factors, snf.rank) == dense_smith_normal_form(A)
+    return snf
+
+
+def test_sparse_store_matches_dense_elimination_on_posets():
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        matches_dense_elimination(relation_matrix(support_forms(bound(random_poset(rng, 10)))))
+
+
+def test_sparse_store_matches_dense_elimination_on_small_matrices():
+    # Half the matrices are scaled by 2..6, so that torsion and non-unit
+    # pivots are common; zero rows and columns come from the sparse entries.
+    rng = random.Random(20261021)
+    seen = {"torsion": 0, "non-unit pivot": 0, "zero row": 0, "zero column": 0}
+    for _ in range(500):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        scale = rng.choice((1, rng.randint(2, 6)))
+        rows = [[0 if rng.random() < 0.4 else scale * rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        A = IntMatrix.from_rows(rows, cols=n)
+        snf = matches_dense_elimination(A)
+        seen["torsion"] += any(f > 1 for f in snf.invariant_factors)
+        seen["non-unit pivot"] += all(abs(e) != 1 for row in rows for e in row) and snf.rank > 0
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(A.column(j)) for j in range(n))
+    assert min(seen.values()) >= 50, seen
+
+
+def test_sparse_store_matches_dense_elimination_on_dense_matrices():
+    rng = random.Random(20261022)
+    for _ in range(30):
+        m, n = rng.randint(24, 36), rng.randint(18, 28)
+        matches_dense_elimination(
+            IntMatrix.from_rows([[rng.randint(-(10**3), 10**3) for _ in range(n)] for _ in range(m)])
+        )
+
+
+def test_sparse_store_matches_dense_elimination_on_layered_posets():
+    for n in (40, 80, 160, 320):
+        matches_dense_elimination(relation_matrix(support_forms(bound(layered_poset(n)))))
+
+
+def test_sparse_products_match_dense_transforms():
+    rng = random.Random(20261023)
+    for A in itertools.islice(pinned_corpus(), 0, None, 7):
+        snf = smith_normal_form(A)
+        v = [rng.randint(-9, 9) for _ in range(A.rows)]
+        y = [rng.randint(-9, 9) for _ in range(A.cols)]
+        assert snf.u_times(v) == snf.U.mul_vector(v)
+        assert snf.v_times(y) == snf.V.mul_vector(y)
 
 
 def test_matrix_validation():
@@ -309,14 +376,3 @@ def test_matrix_helpers():
         A.determinant()
     assert IntMatrix.from_rows([[3, 1], [1, 1]]).determinant() == 2
     assert det_cofactor([[3, 1], [1, 1]]) == 2
-
-
-def test_doctests():
-    import doctest
-
-    import divclass.abelian
-    import divclass.exact_linalg
-
-    for module in (divclass.exact_linalg, divclass.abelian):
-        failures, _ = doctest.testmod(module)
-        assert failures == 0

@@ -220,6 +220,16 @@ def test_report_at_scale():
     assert rep.gorenstein == rep.pure
 
 
+def test_report_at_roadmap_scale():
+    # 1000 elements, 2,153 Hasse edges; both routes run and are cross-checked
+    # inside the report.
+    rep = joinmeet_report(layered_poset(1000))
+    assert rep.num_height_one_primes == 2153
+    assert rep.group.free_rank == 2153 - 1001
+    assert rep.group.torsion_factors == ()
+    assert rep.gorenstein == rep.pure
+
+
 def alternate_tree(extension):
     """Largest-target upward edges: a different valid spanning tree."""
     ups = {}
