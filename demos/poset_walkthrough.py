@@ -7,6 +7,8 @@ so the ring attached to it cannot be Gorenstein, and the torsion number
 measures how far off it is.
 """
 
+import math
+
 from divclass import (
     AbelianPresentation,
     ClassElement,
@@ -20,7 +22,6 @@ from divclass import (
     relation_matrix,
     structure,
     support_forms,
-    torsion_number,
     verify_column_relations,
 )
 
@@ -44,18 +45,17 @@ matrix = relation_matrix(forms)
 print("\nrelation matrix (rows = edges, columns = z_0..z_n):")
 print(matrix.pretty())
 
-# Route 1: Smith normal form of the relation matrix.  The presentation
-# eliminates it once, on first use, and every invariant below reads that
-# one decomposition.  The class group is always free here; its rank is
+# Route 1: Smith normal form of the relation matrix.  joinmeet_report
+# eliminates it once and reads every invariant below off that one
+# decomposition.  The class group is always free here; its rank is
 # |edges| - (n + 1).
+report = joinmeet_report(poset)
+print("\nclass group:", report.group)
+print("class-group rank:", report.group.free_rank, "=", len(extension.edges), "-", poset.n + 1)
+print("torsion number via Fitting ideals:", report.torsion_number)
+# The reduced class group is still a second elimination, of [A | omega].
 presentation = AbelianPresentation(matrix.rows, matrix)
-snf = presentation.smith
-print("\ninvariant factors:", snf.invariant_factors)
-print("class-group rank:", matrix.rows - snf.rank, "=", len(extension.edges), "-", poset.n + 1)
-
 canonical = ClassElement((1,) * matrix.rows)  # sum of all edge classes
-d_matrix = torsion_number(presentation, canonical)
-print("torsion number via Fitting ideals:", d_matrix)
 print("reduced class group (quotient by the canonical class):",
       structure(quotient_by(presentation, canonical)))
 
@@ -82,9 +82,8 @@ print("canonical class over the basis:", expr.canonical_coords)
 print("expressions satisfy every defining relation?",
       verify_column_relations(forms, tree, expr))
 
-# The two routes must agree; joinmeet_report runs both and cross-checks.
-report = joinmeet_report(poset)
-print("\nfull report:")
-print("  class group:", report.group)
-print("  torsion number:", report.torsion_number)
-print("  gorenstein:", report.gorenstein, "| pure:", report.pure)
+# The two routes must agree, and joinmeet_report has already cross-checked
+# them: it raises on any mismatch.
+print("\ntorsion number, tree route == Fitting route:",
+      math.gcd(*expr.canonical_coords), "==", report.torsion_number)
+print("gorenstein:", report.gorenstein, "| pure:", report.pure)

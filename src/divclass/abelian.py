@@ -7,9 +7,8 @@ nonnegative generator.
 
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
-off D, membership, torsion number and free coordinates off c = U e.  The
-products U e and V y are taken off the decomposition's sparse store, so no
-reader builds a dense transform.
+off D, membership, torsion number and free coordinates off c = U e.  U, D
+and V are sparse ``IntMatrix`` values, so U e and V y sum nonzeros only.
 ``rank``, ``minor_gcd`` and ``solve_integer`` read a matrix as the
 presentation of its cokernel.
 
@@ -87,17 +86,12 @@ def _check_element(p: AbelianPresentation, e: ClassElement):
         )
 
 
-def _split_coordinates(p: AbelianPresentation, v: Sequence[int]) -> tuple:
-    """U v: the coordinates of v over the basis in which the relations are diagonal."""
-    return p.smith.u_times(v)
-
-
 def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[list]:
     """The y with D y = c, or None: it needs d_i | c_i below the rank and c = 0 past it."""
     quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
     if any(r for _, r in quotients) or any(c[snf.rank :]):
         return None
-    return [q for q, _ in quotients] + [0] * (len(snf.v_columns) - snf.rank)
+    return [q for q, _ in quotients] + [0] * (snf.V.cols - snf.rank)
 
 
 def structure(p: AbelianPresentation) -> GroupStructure:
@@ -136,7 +130,7 @@ def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
     With U A V = D that holds when d_i | (U e)_i and U e vanishes past the rank.
     """
     _check_element(p, e)
-    return _diagonal_solution(p.smith, _split_coordinates(p, e.coords)) is not None
+    return _diagonal_solution(p.smith, p.smith.U.mul_vector(e.coords)) is not None
 
 
 def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
@@ -156,7 +150,7 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
     """
     _check_element(p, omega)
     snf = p.smith
-    c = _split_coordinates(p, omega.coords)
+    c = snf.U.mul_vector(omega.coords)
     full = fitting_number(p, p.generators - snf.rank)
     t = math.gcd(*c[snf.rank :])
     if t:
@@ -175,7 +169,7 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
 def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:
     """Coordinates of ``e`` over the free part of the Smith basis: (U e)_i past the rank."""
     _check_element(p, e)
-    return _split_coordinates(p, e.coords)[p.smith.rank :]
+    return p.smith.U.mul_vector(e.coords)[p.smith.rank :]
 
 
 def free_presentation(r: int) -> AbelianPresentation:
@@ -214,5 +208,5 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
     p = AbelianPresentation(A.rows, A)
-    y = _diagonal_solution(p.smith, _split_coordinates(p, b))
-    return None if y is None else p.smith.v_times(y)
+    y = _diagonal_solution(p.smith, p.smith.U.mul_vector(b))
+    return None if y is None else p.smith.V.mul_vector(y)

@@ -1,10 +1,12 @@
 """Exact integer matrices and the Smith normal form with transform tracking.
 
 Everything runs on Python's arbitrary-precision integers, so transforms can
-never overflow.  This module only eliminates: every reading of a
-decomposition (rank, minors, solutions, group invariants) lives in
-:mod:`divclass.abelian`, whose ``AbelianPresentation.smith`` is the one
-caller of ``smith_normal_form``.
+never overflow.  An ``IntMatrix`` keeps each row as a dict of its nonzeros,
+so products, transposes and matrix-vector products visit nonzeros only.
+This module only eliminates: every reading of a decomposition (rank,
+minors, solutions, group invariants) lives in :mod:`divclass.abelian`,
+whose ``AbelianPresentation.smith`` is the one caller of
+``smith_normal_form``.
 
 The Smith elimination works on one sparse row store ``[D | U]`` plus ``V``
 kept by columns, each holding only its nonzeros.  A row operation is one
@@ -15,25 +17,28 @@ in), and a column swap of ``V`` is a list swap.  The pivot is the nonzero
 entry of least absolute value, ties at the lowest (row, col).  The pivot
 search stops at the first row holding an entry of absolute value 1, and the
 divisibility fix-up is skipped for a unit pivot; neither can change the
-pivot or the result.  Every decomposition is checked to satisfy
-``U A V == D`` exactly on every entry, by sums over the sparse rows.  The
-returned ``SmithDecomposition`` keeps the store; its dense ``U``, ``D`` and
-``V`` are built only when read.
+pivot or the result.  The store is local to the elimination: the result is
+the ``IntMatrix`` values ``U``, ``D`` and ``V``, with ``D`` built from the
+invariant factors, and ``U @ A @ V == D`` is checked exactly on every entry,
+which also proves that the elimination left ``D`` diagonal.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
 
 
 class IntMatrix:
-    """An immutable rows x cols matrix of integers, stored row-major.
+    """An immutable rows x cols matrix of integers.
+
+    Row i is kept as a dict ``{column: entry}`` of its nonzeros; every other
+    entry is zero.  The constructors, ``row``, ``==``, ``hash`` and ``repr``
+    all read it as the dense matrix, however it was built.
 
     >>> A = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> A[1, 0]
@@ -42,9 +47,11 @@ class IntMatrix:
     True
     >>> A.determinant()
     -2
+    >>> IntMatrix.from_sparse([{1: 5}, {}], cols=2)
+    IntMatrix.from_rows([[0, 5], [0, 0]])
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         rows = operator.index(rows)
@@ -52,7 +59,7 @@ class IntMatrix:
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
         try:
-            data = tuple(operator.index(e) for e in entries)
+            data = [operator.index(e) for e in entries]
         except TypeError:
             raise InputError("matrix entries must be integers") from None
         if len(data) != rows * cols:
@@ -61,7 +68,17 @@ class IntMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self._entries = data
+        self._rows = tuple(
+            {j: e for j, e in enumerate(data[i * cols : (i + 1) * cols]) if e} for i in range(rows)
+        )
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: Iterable[dict]) -> "IntMatrix":
+        # Rows kept as built, neither copied nor validated: each a dict of
+        # nonzero entries at columns in range, owned by this matrix alone.
+        matrix = object.__new__(cls)
+        matrix.rows, matrix.cols, matrix._rows = rows, cols, tuple(data)
+        return matrix
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -77,6 +94,23 @@ class IntMatrix:
         return cls(len(rows), width, (e for r in rows for e in r))
 
     @classmethod
+    def from_sparse(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
+        """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
+        cols = operator.index(cols)
+        if cols < 0:
+            raise InputError("matrix dimensions must be nonnegative")
+        data = []
+        for row in rows:
+            try:
+                entries = {operator.index(j): operator.index(e) for j, e in row.items()}
+            except TypeError:
+                raise InputError("matrix entries and their columns must be integers") from None
+            if not all(0 <= j < cols for j in entries):
+                raise InputError(f"column index out of range for {cols} columns")
+            data.append({j: e for j, e in entries.items() if e})
+        return cls._of(len(data), cols, data)
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, (int(i == j) for i in range(n) for j in range(n)))
 
@@ -88,44 +122,50 @@ class IntMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index {(i, j)} out of range for a {self.rows}x{self.cols} matrix")
-        return self._entries[i * self.cols + j]
+        return self._rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(map(self._rows[i].get, range(self.cols), itertools.repeat(0)))
 
     def column(self, j: int) -> tuple:
-        return self._entries[j :: self.cols] if self.cols else ()
+        return tuple(row.get(j, 0) for row in self._rows)
 
     def to_lists(self) -> list:
         """Mutable row-of-lists copy (the working form used by algorithms)."""
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, (self._entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows))
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, e in row.items():
+                out[j][i] = e
+        return IntMatrix._of(self.cols, self.rows, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product sums e * (row k of ``other``) over the nonzeros e = self[i, k]."""
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        columns = [other.column(j) for j in range(other.cols)]
-        rows = map(self.row, range(self.rows))
-        out = [sum(map(operator.mul, row, col)) for row in rows for col in columns]
-        return IntMatrix(self.rows, other.cols, out)
+        right = other._rows
+        product = []
+        for row in self._rows:
+            acc = {}
+            get = acc.get
+            for k, e in row.items():
+                for j, f in right[k].items():
+                    acc[j] = get(j, 0) + e * f
+            product.append({j: x for j, x in acc.items() if x})
+        return IntMatrix._of(self.rows, other.cols, product)
 
     def mul_vector(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise InputError(f"vector of length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(map(operator.mul, self.row(i), v)) for i in range(self.rows))
+        return tuple(sum(e * v[k] for k, e in row.items()) for row in self._rows)
 
     def append_column(self, col: Sequence[int]) -> "IntMatrix":
         if len(col) != self.rows:
             raise InputError(f"column of length {len(col)} does not match {self.rows} rows")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row(i))
-            entries.append(col[i])
-        return IntMatrix(self.rows, self.cols + 1, entries)
+        n = self.cols
+        return IntMatrix.from_sparse(({**row, n: c} for row, c in zip(self._rows, col)), n + 1)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -154,10 +194,10 @@ class IntMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
+        return (self.rows, self.cols, self._rows) == (other.rows, other.cols, other._rows)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         if self.rows and self.cols:
@@ -182,57 +222,13 @@ class SmithDecomposition:
 
     The positive diagonal entries are the invariant factors and satisfy
     d_1 | d_2 | ... | d_s; ``rank`` equals s.
-
-    The transforms are kept as the elimination left them, without zeros:
-    ``store[i]`` is row i of ``[D | U]`` as ``{column: entry}``, where
-    column n + k is column k of ``U`` (n the column count of A), and
-    ``v_columns[j]`` is column j of ``V`` as ``{row: entry}``.  ``u_times``
-    and ``v_times`` multiply off that store; the dense ``U``, ``D`` and
-    ``V`` are built on first access.
     """
 
     invariant_factors: tuple
     rank: int
-    store: tuple = field(hash=False)
-    v_columns: tuple = field(hash=False)
-
-    @cached_property
-    def U(self) -> IntMatrix:
-        m, n = len(self.store), len(self.v_columns)
-        return IntMatrix(m, m, (row.get(n + k, 0) for row in self.store for k in range(m)))
-
-    @cached_property
-    def D(self) -> IntMatrix:
-        m, n = len(self.store), len(self.v_columns)
-        return IntMatrix(m, n, (row.get(j, 0) for row in self.store for j in range(n)))
-
-    @cached_property
-    def V(self) -> IntMatrix:
-        n = len(self.v_columns)
-        return IntMatrix(n, n, (column.get(i, 0) for i in range(n) for column in self.v_columns))
-
-    def u_times(self, v: Sequence[int]) -> tuple:
-        """U v, over the nonzeros of the ``U`` part of each store row."""
-        m, n = len(self.store), len(self.v_columns)
-        if len(v) != m:
-            raise InputError(f"vector of length {len(v)} does not match {m} columns")
-        return tuple(sum(e * v[k - n] for k, e in row.items() if k >= n) for row in self.store)
-
-    def v_times(self, y: Sequence[int]) -> tuple:
-        """V y, over the nonzeros of the columns of ``V`` that y weights."""
-        n = len(self.v_columns)
-        if len(y) != n:
-            raise InputError(f"vector of length {len(y)} does not match {n} columns")
-        x = [0] * n
-        for c, column in zip(y, self.v_columns):
-            if c:
-                for i, w in column.items():
-                    x[i] += c * w
-        return tuple(x)
-
-
-def _nonzeros(row: Sequence[int]) -> list:
-    return [(j, row[j]) for j in itertools.compress(range(len(row)), row)]
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
 
 
 def _add_multiple(row: dict, other: dict, q: int) -> None:
@@ -244,40 +240,6 @@ def _add_multiple(row: dict, other: dict, q: int) -> None:
             row[k] = e
         else:
             del row[k]
-
-
-def _carries(A: IntMatrix, store: Sequence[dict], v_columns: Sequence[dict]) -> bool:
-    """Whether U @ A @ V == D, exactly, for the sparse store of a decomposition.
-
-    Row i of U A is the sum of u_ik A[k] over the nonzero u_ik, row i of
-    (U A) V the sum of x_j V[j] over the nonzero x_j of that row; row i of
-    the product must equal the ``D`` part of store row i on every entry.
-    Each sum runs over the nonzeros of the rows it adds, and no product
-    matrix is built.
-    """
-    n = A.cols
-    a_rows = [_nonzeros(A.row(k)) for k in range(A.rows)]
-    v_rows = [[] for _ in range(n)]
-    for l, column in enumerate(v_columns):
-        for j, w in column.items():
-            v_rows[j].append((l, w))
-    for row in store:
-        d = [0] * n
-        x = [0] * n
-        for k, e in row.items():
-            if k < n:
-                d[k] = e
-            else:
-                for j, a in a_rows[k - n]:
-                    x[j] += e * a
-        y = [0] * n
-        for j in itertools.compress(range(n), x):
-            e = x[j]
-            for l, w in v_rows[j]:
-                y[l] += e * w
-        if y != d:
-            return False
-    return True
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -294,7 +256,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     # without zeros, so every row operation is one pass over one row's
     # nonzeros.  V is kept by columns: a column swap is a list swap, and a
     # column operation on V one pass over the nonzeros of one column.
-    rows = [dict(_nonzeros(A.row(i))) for i in range(m)]
+    rows = [dict(row) for row in A._rows]
     for i, row in enumerate(rows):
         row[n + i] = 1
     v = [{j: 1} for j in range(n)]
@@ -410,6 +372,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
-    if not _carries(A, rows, v):
+    U = IntMatrix._of(m, m, ({k - n: e for k, e in row.items() if k >= n} for row in rows))
+    D = IntMatrix._of(m, n, [{k: f} for k, f in enumerate(factors)] + [{} for _ in range(m - rank)])
+    V = IntMatrix._of(n, n, v).transpose()  # v holds the rows of V's transpose
+    if U @ A @ V != D:
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
-    return SmithDecomposition(invariant_factors=factors, rank=rank, store=tuple(rows), v_columns=tuple(v))
+    return SmithDecomposition(factors, rank, U, D, V)

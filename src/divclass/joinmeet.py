@@ -96,9 +96,7 @@ def support_forms(extension: BoundedPoset) -> tuple:
 
 def relation_matrix(forms) -> IntMatrix:
     """Relation matrix of the class group: one row per edge, columns z_0..z_n."""
-    rows = [f.coeffs for f in forms]
-    width = len(rows[0]) if rows else 0
-    return IntMatrix.from_rows(rows, cols=width)
+    return IntMatrix.from_sparse([dict(f.terms) for f in forms], cols=forms[0].width if forms else 0)
 
 
 def choose_tree(extension: BoundedPoset) -> SpanningTree:

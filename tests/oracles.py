@@ -34,6 +34,15 @@ def det_cofactor(rows):
     return total
 
 
+def dense_product(a, b, cols):
+    """Product of two matrices given as lists of rows; ``cols`` is the column count of ``b``.
+
+    Every entry is the full sum over the inner index, zeros included, so it
+    shares nothing with the sparse ``IntMatrix`` product it is checked against.
+    """
+    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
+
+
 def brute_minor_gcd(rows, k):
     """gcd of all k x k minors (0 when there are none or all vanish)."""
     import math

@@ -142,8 +142,8 @@ def test_torsion_cross_check_raises_on_disagreement():
     # No elimination returns this decomposition: with the factor -2 the
     # Fitting formula reads d = 2, while 2 = (-1)(-2) passes the membership test.
     p = presentation([(2,)])
-    # store row 0 is [D | U] = [-2 | 1], and V = (1)
-    p.__dict__["smith"] = SmithDecomposition((-2,), 1, store=({0: -2, 1: 1},), v_columns=({0: 1},))
+    U, D, V = (IntMatrix.from_rows([[e]]) for e in (1, -2, 1))
+    p.__dict__["smith"] = SmithDecomposition((-2,), 1, U, D, V)
     with pytest.raises(InternalInvariantError, match="disagree"):
         torsion_number(p, ClassElement((2,)))
 

@@ -15,7 +15,7 @@ from divclass import (
     solve_integer,
     support_forms,
 )
-from divclass import exact_linalg
+from divclass import InternalInvariantError, exact_linalg
 from divclass.sweep import random_poset
 
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     bounded_solve_exists,
     brute_invariant_factors,
     brute_minor_gcd,
+    dense_product,
     dense_smith_normal_form,
     det_cofactor,
     layered_poset,
@@ -37,8 +38,14 @@ def random_matrix(rng, max_dim=5, lo=-9, hi=9):
     return IntMatrix.from_rows(rows, cols=n), rows
 
 
+def oracle_product(U, A, V):
+    """U A V as lists of rows, by the dense oracle product."""
+    return dense_product(dense_product(U.to_lists(), A.to_lists(), A.cols), V.to_lists(), V.cols)
+
+
 def check_decomposition(A, snf):
     assert snf.U @ A @ snf.V == snf.D
+    assert oracle_product(snf.U, A, snf.V) == snf.D.to_lists()
     assert abs(det_cofactor(snf.U.to_lists())) == 1
     assert abs(det_cofactor(snf.V.to_lists())) == 1
     diag = [snf.D[k, k] for k in range(min(A.rows, A.cols))]
@@ -233,19 +240,9 @@ def test_smith_decompositions_pinned():
 def test_sparse_check_agrees_with_dense_product():
     for A in pinned_corpus():
         snf = smith_normal_form(A)
-        assert snf.U @ A @ snf.V == snf.D
-        assert exact_linalg._carries(A, snf.store, snf.v_columns)
-
-
-def sparse_store(U, D, V):
-    """The store ``smith_normal_form`` keeps, for dense U, D, V: rows of [D | U] and columns of V."""
-    n = D.cols
-    store = [
-        {**{j: e for j, e in enumerate(D.row(i)) if e}, **{n + k: e for k, e in enumerate(U.row(i)) if e}}
-        for i in range(D.rows)
-    ]
-    v_columns = [{i: e for i, e in enumerate(V.column(j)) if e} for j in range(V.cols)]
-    return store, v_columns
+        product = snf.U @ A @ snf.V
+        assert product == snf.D
+        assert product.to_lists() == oracle_product(snf.U, A, snf.V)
 
 
 def with_entry_changed(M, i, j, delta):
@@ -263,7 +260,7 @@ def test_sparse_check_rejects_every_single_entry_change():
     rng = random.Random(8)
     matrices = [random_matrix(rng)[0] for _ in range(200)]
     matrices += [relation_matrix(support_forms(bound(random_poset(rng, 10)))) for _ in range(50)]
-    rejected = 0
+    rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
         nonzero_rows = [any(A.row(k)) for k in range(A.rows)]
@@ -272,16 +269,39 @@ def test_sparse_check_rejects_every_single_entry_change():
             for i in range(A.rows):
                 for k in range(A.rows):
                     U = with_entry_changed(snf.U, i, k, delta)
-                    carries = exact_linalg._carries(A, *sparse_store(U, snf.D, snf.V))
+                    carries = U @ A @ snf.V == snf.D
                     assert carries is not nonzero_rows[k]
                     rejected += not carries
+                    changes += 1
             for k in range(A.cols):
                 for l in range(A.cols):
                     V = with_entry_changed(snf.V, k, l, delta)
-                    carries = exact_linalg._carries(A, *sparse_store(snf.U, snf.D, V))
+                    carries = snf.U @ A @ V == snf.D
                     assert carries is not nonzero_cols[k]
                     rejected += not carries
-    assert rejected > 18000
+                    changes += 1
+    assert (rejected, changes) == (18504, 19868)
+
+
+def test_product_check_rejects_a_dropped_column_update(monkeypatch):
+    # The one column operation on [[2, 3]] subtracts column 0 from column 1,
+    # in the store and in V.  Dropping it in V alone leaves the elimination
+    # and its invariant factors unchanged, so only the U A V = D check fails.
+    A = IntMatrix.from_rows([[2, 3]])
+    add_multiple = exact_linalg._add_multiple
+    dropped = []
+
+    def drop_first_v_update(row, other, q):
+        # a column of V has keys below A.cols; a store row also holds U's
+        if not dropped and all(k < A.cols for k in other):
+            dropped.append((dict(row), dict(other), q))
+            return
+        add_multiple(row, other, q)
+
+    monkeypatch.setattr(exact_linalg, "_add_multiple", drop_first_v_update)
+    with pytest.raises(InternalInvariantError, match="do not carry"):
+        smith_normal_form(A)
+    assert dropped == [({1: 1}, {0: 1}, -1)]
 
 
 def test_smith_decompositions_pinned_at_scale():
@@ -350,8 +370,8 @@ def test_sparse_products_match_dense_transforms():
         snf = smith_normal_form(A)
         v = [rng.randint(-9, 9) for _ in range(A.rows)]
         y = [rng.randint(-9, 9) for _ in range(A.cols)]
-        assert snf.u_times(v) == snf.U.mul_vector(v)
-        assert snf.v_times(y) == snf.V.mul_vector(y)
+        assert [[e] for e in snf.U.mul_vector(v)] == dense_product(snf.U.to_lists(), [[x] for x in v], 1)
+        assert [[e] for e in snf.V.mul_vector(y)] == dense_product(snf.V.to_lists(), [[x] for x in y], 1)
 
 
 def test_matrix_validation():
