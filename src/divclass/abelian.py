@@ -91,7 +91,7 @@ def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[li
     quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
     if any(r for _, r in quotients) or any(c[snf.rank :]):
         return None
-    return [q for q, _ in quotients] + [0] * (snf.V.cols - snf.rank)
+    return [q for q, _ in quotients] + [0] * (snf.D.cols - snf.rank)
 
 
 def structure(p: AbelianPresentation) -> GroupStructure:

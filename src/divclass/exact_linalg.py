@@ -8,26 +8,32 @@ minors, solutions, group invariants) lives in :mod:`divclass.abelian`,
 whose ``AbelianPresentation.smith`` is the one caller of
 ``smith_normal_form``.
 
-The Smith elimination works on one sparse row store ``[D | U]`` plus ``V``
-kept by columns, each holding only its nonzeros.  A row operation is one
-pass over the nonzeros of one row of the store.  A column operation touches
-only the nonzeros of one column of ``V`` and the store rows still nonzero in
-the pivot column (the pivot row and the rows the row loop left a remainder
-in), and a column swap of ``V`` is a list swap.  The pivot is the nonzero
-entry of least absolute value, ties at the lowest (row, col).  The pivot
-search stops at the first row holding an entry of absolute value 1, and the
-divisibility fix-up is skipped for a unit pivot; neither can change the
-pivot or the result.  The store is local to the elimination: the result is
-the ``IntMatrix`` values ``U``, ``D`` and ``V``, with ``D`` built from the
-invariant factors, and ``U @ A @ V == D`` is checked exactly on every entry,
-which also proves that the elimination left ``D`` diagonal.
+The Smith elimination keeps only what steers it.  Each row of the store
+is two dicts of nonzeros, its ``D`` part and its ``U`` part, so a row
+operation is one pass over each.  The pivot search, the divisibility
+fix-up and the column updates read the ``D`` parts alone; the ``U`` parts
+only follow the row operations.  ``V`` is not built during elimination:
+each column swap and column addition is appended to one flat log, and a
+column operation touches only the ``D`` parts still nonzero in the pivot
+column (the pivot row and the rows the row loop left a remainder in).  The
+pivot is the nonzero entry of least absolute value, ties at the lowest
+(row, col).  The pivot search stops at the first row holding an entry of
+absolute value 1, and the divisibility fix-up is skipped for a unit pivot;
+neither can change the pivot or the result.  The store is local to the
+elimination: the result is ``U``, ``D`` (built from the invariant factors)
+and the column log.  ``U A V = D`` is checked exactly on every entry by
+replaying the log on the columns of ``U @ A``, which also proves that the
+elimination left ``D`` diagonal; ``SmithDecomposition.V`` replays the same
+log on the identity on first read, so the ``V`` a caller reads is the one
+that was checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, InternalInvariantError
@@ -221,14 +227,23 @@ class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D = diag(d_1, ..., d_s, 0, ...).
 
     The positive diagonal entries are the invariant factors and satisfy
-    d_1 | d_2 | ... | d_s; ``rank`` equals s.
+    d_1 | d_2 | ... | d_s; ``rank`` equals s.  ``column_ops`` is the log of
+    the elimination's column operations in order, each a triple ``(a, b, q)``:
+    column b -= q * column a when q != 0, and columns a and b swap when
+    q == 0.  ``V`` is that log replayed on the identity, built on first read.
     """
 
     invariant_factors: tuple
     rank: int
     U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
+    column_ops: list = field(hash=False)  # a list, so the hash reads the other fields
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        n = self.D.cols
+        columns = _replay_columns([{j: 1} for j in range(n)], self.column_ops)
+        return IntMatrix._of(n, n, columns).transpose()
 
 
 def _add_multiple(row: dict, other: dict, q: int) -> None:
@@ -242,6 +257,16 @@ def _add_multiple(row: dict, other: dict, q: int) -> None:
             del row[k]
 
 
+def _replay_columns(columns: list, ops: Sequence[tuple]) -> list:
+    """Apply the column log ``ops`` to ``columns``, a list of column dicts, in place."""
+    for a, b, q in ops:
+        if q:
+            _add_multiple(columns[b], columns[a], -q)
+        else:
+            columns[a], columns[b] = columns[b], columns[a]
+    return columns
+
+
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form of ``A`` with both unimodular transforms.
 
@@ -252,37 +277,28 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = A.rows, A.cols
-    # Row i of the store is row i of D followed by row i of U (column n + k),
-    # without zeros, so every row operation is one pass over one row's
-    # nonzeros.  V is kept by columns: a column swap is a list swap, and a
-    # column operation on V one pass over the nonzeros of one column.
-    rows = [dict(row) for row in A._rows]
-    for i, row in enumerate(rows):
-        row[n + i] = 1
-    v = [{j: 1} for j in range(n)]
-    # Positions of the store rows whose D part is zero.  Such a row is never
-    # the pivot row, nor nonzero in a pivot column, so no operation changes
-    # its D part again: it only moves, in a swap with the pivot row.
-    empty = set()
+    # Row i of the store is d[i], row i of D, and u[i], row i of U, each
+    # without zeros.  Every pivot and quotient is read off d alone; u only
+    # follows the row operations, and V is not built here at all: each
+    # column operation is appended to ``ops``.
+    d = [dict(row) for row in A._rows]
+    u = [{i: 1} for i in range(m)]
+    ops = []
 
     def find_pivot(t):
         # Nonzero entry of least absolute value in the working submatrix,
         # ties at the lowest (row, col): the rows are scanned in order and
         # only a strictly smaller entry replaces the best so far, while
         # within a row the least (absolute value, column) wins.  Below row
-        # t-1 the D part lies in columns t..n-1, so it is the keys below n.
-        # No nonzero is smaller than 1, so the first row holding a unit
-        # settles the search.
+        # t-1, d holds columns t..n-1 only.  No nonzero is smaller than 1,
+        # so the first row holding a unit settles the search.
         best = None
         best_abs = None
         for i in range(t, m):
-            if i in empty:
+            row = d[i]
+            if not row:
                 continue
-            entries = [(abs(e), j) for j, e in rows[i].items() if j < n]
-            if not entries:
-                empty.add(i)
-                continue
-            a, j = min(entries)
+            a, j = min((abs(e), j) for j, e in row.items())
             if best is None or a < best_abs:
                 best, best_abs = (i, j), a
                 if a == 1:
@@ -296,36 +312,35 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             break
         while True:
             i, j = pivot
-            rows[t], rows[i] = rows[i], rows[t]
-            if t in empty:
-                empty.remove(t)
-                empty.add(i)
+            d[t], d[i] = d[i], d[t]
+            u[t], u[i] = u[i], u[t]
             if j != t:
                 # rows above t are zero in both columns
-                for row in rows[t:]:
+                for row in d[t:]:
                     if t in row or j in row:
                         a, b = row.pop(t, 0), row.pop(j, 0)
                         if b:
                             row[t] = b
                         if a:
                             row[j] = a
-                v[t], v[j] = v[j], v[t]
-            top = rows[t]
+                ops.append((t, j, 0))
+            top = d[t]
             p = top[t]
             # The rows nonzero in column t after the row loop: the pivot row
             # and those left with a remainder.  No other row is touched by a
             # column operation, which subtracts a multiple of column t.
             remainders = [top]
             for i in range(t + 1, m):
-                row = rows[i]
+                row = d[i]
                 if t in row:
                     q = row[t] // p
                     if q:
                         _add_multiple(row, top, -q)
+                        _add_multiple(u[i], u[t], -q)
                     if t in row:
                         remainders.append(row)
             dirty = len(remainders) > 1
-            for j in [k for k in top if t < k < n]:
+            for j in [k for k in top if k > t]:
                 q = top[j] // p
                 if q:
                     for row in remainders:
@@ -334,7 +349,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                             row[j] = e
                         else:
                             del row[j]
-                    _add_multiple(v[j], v[t], -q)
+                    ops.append((t, j, q))
                 if j in top:
                     dirty = True
             if dirty:
@@ -345,25 +360,26 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             if abs(p) == 1:
                 # Every integer is divisible by a unit pivot.
                 break
-            # Row t and column t are clear, so below row t the D part lies
-            # in columns t+1..n-1.
+            # Row t and column t are clear, so below row t, d holds columns
+            # t+1..n-1 only.
             offender = next(
-                (i for i in range(t + 1, m) if any(e % p for k, e in rows[i].items() if k < n)),
+                (i for i in range(t + 1, m) if any(e % p for e in d[i].values())),
                 None,
             )
             if offender is None:
                 break
             # Fold the offending row into row t; re-clearing then replaces
             # the pivot by a proper divisor, which yields d_t | d_{t+1}.
-            _add_multiple(top, rows[offender], 1)
+            _add_multiple(top, d[offender], 1)
+            _add_multiple(u[t], u[offender], 1)
             pivot = (t, t)
         t += 1
 
-    for k in range(min(m, n)):
-        if rows[k].get(k, 0) < 0:
-            rows[k] = {j: -e for j, e in rows[k].items()}
-
-    diag = [rows[k].get(k, 0) for k in range(min(m, n))]
+    diag = [d[k].get(k, 0) for k in range(min(m, n))]
+    for k, e in enumerate(diag):
+        if e < 0:
+            diag[k] = -e
+            u[k] = {j: -x for j, x in u[k].items()}
     rank = sum(1 for e in diag if e)
     factors = tuple(diag[:rank])
     if any(e == 0 for e in factors) or any(e != 0 for e in diag[rank:]):
@@ -372,9 +388,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
-    U = IntMatrix._of(m, m, ({k - n: e for k, e in row.items() if k >= n} for row in rows))
+    U = IntMatrix._of(m, m, u)
     D = IntMatrix._of(m, n, [{k: f} for k, f in enumerate(factors)] + [{} for _ in range(m - rank)])
-    V = IntMatrix._of(n, n, v).transpose()  # v holds the rows of V's transpose
-    if U @ A @ V != D:
+    # U A V = D, checked as ((U A) E_1) E_2 ... = D with the logged column
+    # operations E_k replayed on the columns of U A: exact on every entry.
+    columns = _replay_columns(list((U @ A).transpose()._rows), ops)
+    if IntMatrix._of(n, m, columns) != D.transpose():
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
-    return SmithDecomposition(factors, rank, U, D, V)
+    return SmithDecomposition(factors, rank, U, D, ops)

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divclass import (
     InputError,
@@ -211,6 +212,7 @@ def test_determinism():
         second = smith_normal_form(A)
         assert first is not second
         assert first == second
+        assert hash(first) == hash(second)
 
 
 def pinned_corpus():
@@ -284,24 +286,68 @@ def test_sparse_check_rejects_every_single_entry_change():
 
 
 def test_product_check_rejects_a_dropped_column_update(monkeypatch):
-    # The one column operation on [[2, 3]] subtracts column 0 from column 1,
-    # in the store and in V.  Dropping it in V alone leaves the elimination
-    # and its invariant factors unchanged, so only the U A V = D check fails.
+    # On [[2, 3]] the elimination logs column 1 -= column 0, a swap, then
+    # column 1 -= 2 column 0.  A 1 x 2 matrix has no row operations, so the
+    # first call to _add_multiple is the check's replay of the first logged
+    # addition on the columns of U A.  Dropping it there alone leaves the
+    # elimination and its invariant factors unchanged, so only the
+    # U A V = D check fails.
     A = IntMatrix.from_rows([[2, 3]])
+    assert smith_normal_form(A).column_ops == [(0, 1, 1), (0, 1, 0), (0, 1, 2)]
     add_multiple = exact_linalg._add_multiple
     dropped = []
 
-    def drop_first_v_update(row, other, q):
-        # a column of V has keys below A.cols; a store row also holds U's
-        if not dropped and all(k < A.cols for k in other):
+    def drop_first_update(row, other, q):
+        if not dropped:
             dropped.append((dict(row), dict(other), q))
             return
         add_multiple(row, other, q)
 
-    monkeypatch.setattr(exact_linalg, "_add_multiple", drop_first_v_update)
+    monkeypatch.setattr(exact_linalg, "_add_multiple", drop_first_update)
     with pytest.raises(InternalInvariantError, match="do not carry"):
         smith_normal_form(A)
-    assert dropped == [({1: 1}, {0: 1}, -1)]
+    assert dropped == [({0: 3}, {0: 2}, -1)]
+
+
+def corrupted_logs(ops):
+    """Every log that differs from ``ops`` in one entry.
+
+    Each quotient moves by +1 and by -1 (so an addition with q = +-1 may
+    become a swap, and a swap an addition), each addition acts the other
+    way round (column a -= q column b), and each swap is dropped: exchanging
+    the two columns of a swap names the same swap.
+    """
+    for k, (a, b, q) in enumerate(ops):
+        for delta in (1, -1):
+            yield ops[:k] + [(a, b, q + delta)] + ops[k + 1 :]
+        yield ops[:k] + ([(b, a, q)] if q else []) + ops[k + 1 :]
+
+
+def test_product_check_rejects_every_corrupted_column_log(monkeypatch):
+    # With full column rank, U A is injective, so U A V = D determines V:
+    # any log whose replay gives another V must fail the check.  Each change
+    # above replaces one elementary matrix E_k of V = E_1 E_2 ... by another
+    # one, so it changes V.
+    rng = random.Random(12)
+    matrices = []
+    while len(matrices) < 60:
+        A, _ = random_matrix(rng)
+        if A.cols and smith_normal_form(A).rank == A.cols:
+            matrices.append(A)
+    matrices += [relation_matrix(support_forms(bound(random_poset(rng, 8)))) for _ in range(10)]
+    replay = exact_linalg._replay_columns
+    rejected = changes = 0
+    for A in matrices:
+        snf = smith_normal_form(A)
+        assert snf.rank == A.cols
+        for corrupted in corrupted_logs(snf.column_ops):
+            monkeypatch.setattr(exact_linalg, "_replay_columns", lambda columns, ops: replay(columns, corrupted))
+            with pytest.raises(InternalInvariantError, match="do not carry"):
+                smith_normal_form(A)
+            rejected += 1
+        changes += 3 * len(snf.column_ops)
+        monkeypatch.undo()
+    assert (rejected, changes) == (1431, 1431)
 
 
 def test_smith_decompositions_pinned_at_scale():
@@ -372,6 +418,24 @@ def test_sparse_products_match_dense_transforms():
         y = [rng.randint(-9, 9) for _ in range(A.cols)]
         assert [[e] for e in snf.U.mul_vector(v)] == dense_product(snf.U.to_lists(), [[x] for x in v], 1)
         assert [[e] for e in snf.V.mul_vector(y)] == dense_product(snf.V.to_lists(), [[x] for x in y], 1)
+
+
+@st.composite
+def small_matrices(draw):
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**40), 2**40))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_matrices())
+def test_lazy_v_matches_dense_elimination(A):
+    # V is built on first read by replaying the column log on the identity.
+    snf = smith_normal_form(A)
+    assert "V" not in vars(snf)
+    assert snf.V == dense_smith_normal_form(A)[2]
+    assert snf.U @ A @ snf.V == snf.D
 
 
 def test_matrix_validation():

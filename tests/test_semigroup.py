@@ -246,3 +246,45 @@ def test_one_smith_elimination_per_report(monkeypatch, compute):
                     monkeypatch.setattr(module, key, counting)
     compute()
     assert len(calls) == 1
+
+
+def dense_cone(seed=5, r=12, dim=8, bound=100):
+    rng = random.Random(seed)
+    forms = set()
+    while len(forms) < r:
+        f = tuple(rng.randint(-bound, bound) for _ in range(dim))
+        if any(f) and math.gcd(*f) == 1:
+            forms.add(f)
+    return ConeDescription(dim, sorted(forms))
+
+
+@pytest.mark.parametrize(
+    "compute, builds_v",
+    [
+        (lambda: cone_report(dense_cone()), False),
+        (lambda: cone_report(segre_veronese_cone(4, 2, 9, 3)), False),  # free: reads canonical_in_basis
+        # d = 0: the membership test finds the diagonal solution
+        (lambda: cone_report(veronese_cone(4, 2)), False),
+        (lambda: joinmeet_report(two_chains_poset(2, 2)), False),
+        (lambda: solve_integer(MATRIX, [2, -6, 10]), True),
+    ],
+    ids=["cone-dense", "cone-free", "cone-gorenstein", "joinmeet", "solve_integer"],
+)
+def test_only_solve_integer_builds_v(monkeypatch, compute, builds_v):
+    # V is replayed from the column log on first read; the reports read U
+    # and the invariant factors only, so they never build it.
+    original = exact_linalg.smith_normal_form
+    decompositions = []
+
+    def recording(A):
+        decompositions.append(original(A))
+        return decompositions[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "divclass" or name.startswith("divclass."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    compute()
+    (snf,) = decompositions
+    assert ("V" in vars(snf)) is builds_v
