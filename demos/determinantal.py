@@ -7,7 +7,7 @@ number is therefore n - m: 0 on the square (Gorenstein) diagonal and 1
 just off it.
 """
 
-from divclass import determinantal_invariants
+from divclass import GroupStructure, determinantal_invariants
 
 print("d(m, n) = n - m for generic determinantal rings\n")
 print("m\\n " + "".join(f"{n:>3}" for n in range(1, 11)))
@@ -18,7 +18,7 @@ for m in range(1, 11):
             cells.append("  .")
         else:
             inv = determinantal_invariants(m, n)
-            assert inv.rank == 1 and inv.torsion_number == n - m
+            assert inv.group == GroupStructure(1, ()) and inv.torsion_number == n - m
             cells.append(f"{inv.torsion_number:>3}")
     print(f"{m:>3} " + "".join(cells))
 

@@ -54,7 +54,7 @@ print("\nclass group:", report.group)
 print("class-group rank:", report.group.free_rank, "=", len(extension.edges), "-", poset.n + 1)
 print("torsion number via Fitting ideals:", report.torsion_number)
 # The reduced class group is still a second elimination, of [A | omega].
-presentation = AbelianPresentation(matrix.rows, matrix)
+presentation = AbelianPresentation(matrix)
 canonical = ClassElement((1,) * matrix.rows)  # sum of all edge classes
 print("reduced class group (quotient by the canonical class):",
       structure(quotient_by(presentation, canonical)))

@@ -7,12 +7,12 @@ nonnegative generator.
 
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
-off D, membership, torsion number and free coordinates off c = U e.  U, D
-and V are sparse ``IntMatrix`` values, so U e and V y sum nonzeros only.
-``rank``, ``minor_gcd`` and ``solve_integer`` read a matrix as the
-presentation of its cokernel.
+off its invariant factors, membership, torsion number and free coordinates
+off c = U e; only ``solve_integer`` reads V.  U and V are sparse, so U e and
+V y sum nonzeros only.  ``rank``, ``minor_gcd`` and ``solve_integer`` read a
+matrix as the presentation of its cokernel.
 
->>> zmod6 = AbelianPresentation(1, IntMatrix.from_rows([[6]]))
+>>> zmod6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
 GroupStructure(free_rank=0, torsion_factors=(6,))
 >>> torsion_number(zmod6, ClassElement((4,)))
@@ -33,18 +33,13 @@ from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 @dataclass(frozen=True)
 class AbelianPresentation:
-    """Z^generators modulo the integer column span of ``relations``."""
+    """Z^generators modulo the integer column span of ``relations``, one generator per row."""
 
-    generators: int
     relations: IntMatrix
 
-    def __post_init__(self):
-        if self.generators < 0:
-            raise InputError("generator count must be nonnegative")
-        if self.relations.rows != self.generators:
-            raise InputError(
-                f"relation matrix has {self.relations.rows} rows for {self.generators} generators"
-            )
+    @property
+    def generators(self) -> int:
+        return self.relations.rows
 
     @cached_property
     def smith(self) -> SmithDecomposition:
@@ -79,6 +74,13 @@ class ClassElement:
         object.__setattr__(self, "coords", tuple(operator.index(c) for c in coords))
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_element(p: AbelianPresentation, e: ClassElement):
     if len(e.coords) != p.generators:
         raise InputError(
@@ -91,7 +93,7 @@ def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[li
     quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
     if any(r for _, r in quotients) or any(c[snf.rank :]):
         return None
-    return [q for q, _ in quotients] + [0] * (snf.D.cols - snf.rank)
+    return [q for q, _ in quotients] + [0] * (snf.cols - snf.rank)
 
 
 def structure(p: AbelianPresentation) -> GroupStructure:
@@ -110,6 +112,7 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
     while i is below the free rank, first nonzero at the rank, and the
     successive generators divide each other upward.
     """
+    i = _integer(i, "Fitting index")
     if not 0 <= i <= p.generators:
         raise InputError(f"Fitting index {i} out of range for {p.generators} generators")
     k = p.generators - i
@@ -121,7 +124,7 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
 def quotient_by(p: AbelianPresentation, e: ClassElement) -> AbelianPresentation:
     """Presentation of the quotient by the cyclic subgroup generated by ``e``."""
     _check_element(p, e)
-    return AbelianPresentation(p.generators, p.relations.append_column(e.coords))
+    return AbelianPresentation(p.relations.append_column(e.coords))
 
 
 def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
@@ -174,7 +177,7 @@ def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:
 
 def free_presentation(r: int) -> AbelianPresentation:
     """The free group Z^r: r generators and no relations."""
-    return AbelianPresentation(r, IntMatrix(r, 0, ()))
+    return AbelianPresentation(IntMatrix(r, 0, ()))
 
 
 def element_gcd(e: ClassElement) -> int:
@@ -184,7 +187,7 @@ def element_gcd(e: ClassElement) -> int:
 
 def rank(A: IntMatrix) -> int:
     """Rational rank of ``A`` (the number of nonzero invariant factors)."""
-    return AbelianPresentation(A.rows, A).smith.rank
+    return AbelianPresentation(A).smith.rank
 
 
 def minor_gcd(A: IntMatrix, k: int) -> int:
@@ -193,9 +196,10 @@ def minor_gcd(A: IntMatrix, k: int) -> int:
     Equals d_1 * ... * d_k for k at most the rank, and 0 beyond it;
     I_0 is the whole ring, so k = 0 returns 1.
     """
+    k = _integer(k, "minor size")
     if not 0 <= k <= min(A.rows, A.cols):
         raise InputError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
-    return fitting_number(AbelianPresentation(A.rows, A), A.rows - k)
+    return fitting_number(AbelianPresentation(A), A.rows - k)
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -205,8 +209,9 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     D y = U b and x = V y, where D is diagonal so each coordinate is a
     single exact-divisibility test.
     """
+    b = [_integer(x, "right-hand side entry") for x in b]
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
-    p = AbelianPresentation(A.rows, A)
+    p = AbelianPresentation(A)
     y = _diagonal_solution(p.smith, p.smith.U.mul_vector(b))
     return None if y is None else p.smith.V.mul_vector(y)

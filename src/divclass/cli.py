@@ -117,16 +117,8 @@ def _cone_echo(cone: ConeDescription) -> dict:
     return doc
 
 
-def _analyze(subject, family=None) -> dict:
-    """Report document for a Poset (poset mode) or a ConeDescription (cone mode)."""
-    if isinstance(subject, Poset):
-        mode, basis_tag = "poset", "nontree-edges"
-        echo = {"mode": mode, **poset_document(subject)}
-        report = joinmeet_report(subject)
-    else:
-        mode, basis_tag = "cone", "smith"
-        echo = _cone_echo(subject)
-        report = cone_report(subject)
+def _document(mode, echo, basis_tag, report, family=None) -> dict:
+    """The report document of a ClassGroupReport, whichever mode produced it."""
     doc = {
         "tool": dict(_TOOL),
         "mode": mode,
@@ -149,6 +141,14 @@ def _analyze(subject, family=None) -> dict:
     return doc
 
 
+def _analyze(subject, family=None) -> dict:
+    """Report document for a Poset (poset mode) or a ConeDescription (cone mode)."""
+    if isinstance(subject, Poset):
+        echo = {"mode": "poset", **poset_document(subject)}
+        return _document("poset", echo, "nontree-edges", joinmeet_report(subject), family)
+    return _document("cone", _cone_echo(subject), "smith", cone_report(subject), family)
+
+
 # family name -> (its parameters, the builder taking them by name)
 _FAMILIES = {
     "two-chains": (("a", "b"), two_chains_poset),
@@ -164,23 +164,8 @@ def _cmd_family(args) -> dict:
     family = {"name": args.name, **params}
     if args.name != "determinantal":
         return _analyze(builder(**params), family=family)
-    inv = builder(**params)
-    # no analyzable input document exists for this closed form
-    return {
-        "tool": dict(_TOOL),
-        "mode": "determinantal",
-        "input": None,
-        "num_height_one_primes": None,
-        "rank": inv.rank,
-        "invariant_factors": [],
-        "canonical_class": {
-            "basis": "height-one-prime",
-            "coords": [str(params["n"] - params["m"])],
-        },
-        "torsion_number": str(inv.torsion_number),
-        "gorenstein": inv.torsion_number == 0,
-        "family": family,
-    }
+    # a closed form: no analyzable input document exists to echo
+    return _document("determinantal", None, "height-one-prime", builder(**params), family)
 
 
 def _cmd_sweep(args):

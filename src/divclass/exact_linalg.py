@@ -20,12 +20,12 @@ pivot is the nonzero entry of least absolute value, ties at the lowest
 (row, col).  The pivot search stops at the first row holding an entry of
 absolute value 1, and the divisibility fix-up is skipped for a unit pivot;
 neither can change the pivot or the result.  The store is local to the
-elimination: the result is ``U``, ``D`` (built from the invariant factors)
-and the column log.  ``U A V = D`` is checked exactly on every entry by
-replaying the log on the columns of ``U @ A``, which also proves that the
-elimination left ``D`` diagonal; ``SmithDecomposition.V`` replays the same
-log on the identity on first read, so the ``V`` a caller reads is the one
-that was checked.
+elimination: the result is the invariant factors, ``U``, the width of
+``A`` and the column log.  ``U A V = D`` is checked exactly on every entry
+by replaying the log on the columns of ``U @ A`` and comparing them with
+the columns of the diagonal.  ``D`` and ``V`` are built on first read,
+``V`` by replaying the same log on the identity, so the ``V`` a caller
+reads is the one that was checked.
 """
 
 from __future__ import annotations
@@ -131,9 +131,13 @@ class IntMatrix:
         return self._rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise InputError(f"row {i} out of range for a {self.rows}x{self.cols} matrix")
         return tuple(map(self._rows[i].get, range(self.cols), itertools.repeat(0)))
 
     def column(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise InputError(f"column {j} out of range for a {self.rows}x{self.cols} matrix")
         return tuple(row.get(j, 0) for row in self._rows)
 
     def to_lists(self) -> list:
@@ -226,24 +230,36 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D = diag(d_1, ..., d_s, 0, ...).
 
-    The positive diagonal entries are the invariant factors and satisfy
-    d_1 | d_2 | ... | d_s; ``rank`` equals s.  ``column_ops`` is the log of
-    the elimination's column operations in order, each a triple ``(a, b, q)``:
+    The positive diagonal entries are the invariant factors, d_1 | ... | d_s,
+    and ``rank`` is s; ``cols`` is the width of A.  ``column_ops`` logs the
+    elimination's column operations in order, each a triple ``(a, b, q)``:
     column b -= q * column a when q != 0, and columns a and b swap when
-    q == 0.  ``V`` is that log replayed on the identity, built on first read.
+    q == 0.  ``D`` and ``V`` (the log replayed on the identity) are built
+    on first read.
     """
 
     invariant_factors: tuple
-    rank: int
     U: IntMatrix
-    D: IntMatrix
+    cols: int
     column_ops: list = field(hash=False)  # a list, so the hash reads the other fields
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        return IntMatrix._of(self.U.rows, self.cols, _diagonal(self.invariant_factors, self.U.rows))
 
     @cached_property
     def V(self) -> IntMatrix:
-        n = self.D.cols
-        columns = _replay_columns([{j: 1} for j in range(n)], self.column_ops)
-        return IntMatrix._of(n, n, columns).transpose()
+        columns = _replay_columns([{j: 1} for j in range(self.cols)], self.column_ops)
+        return IntMatrix._of(self.cols, self.cols, columns).transpose()
+
+
+def _diagonal(factors: tuple, length: int) -> list:
+    """The first ``length`` rows (or columns) of diag(factors) padded with zeros, as dicts."""
+    return [{k: f} for k, f in enumerate(factors)] + [{} for _ in range(length - len(factors))]
 
 
 def _add_multiple(row: dict, other: dict, q: int) -> None:
@@ -380,19 +396,17 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if e < 0:
             diag[k] = -e
             u[k] = {j: -x for j, x in u[k].items()}
-    rank = sum(1 for e in diag if e)
-    factors = tuple(diag[:rank])
-    if any(e == 0 for e in factors) or any(e != 0 for e in diag[rank:]):
+    factors = tuple(e for e in diag if e)
+    if any(diag[len(factors) :]):
         raise InternalInvariantError("zero invariant factor interleaved with nonzero ones")
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
     U = IntMatrix._of(m, m, u)
-    D = IntMatrix._of(m, n, [{k: f} for k, f in enumerate(factors)] + [{} for _ in range(m - rank)])
     # U A V = D, checked as ((U A) E_1) E_2 ... = D with the logged column
     # operations E_k replayed on the columns of U A: exact on every entry.
     columns = _replay_columns(list((U @ A).transpose()._rows), ops)
-    if IntMatrix._of(n, m, columns) != D.transpose():
+    if columns != _diagonal(factors, n):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
-    return SmithDecomposition(factors, rank, U, D, ops)
+    return SmithDecomposition(factors, U, n, ops)

@@ -198,7 +198,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     matrix = relation_matrix(forms)
     r = len(forms)
     n = poset.n
-    presentation = AbelianPresentation(r, matrix)
+    presentation = AbelianPresentation(matrix)
     group = structure(presentation)
     expected_rank = r - (n + 1)
     if group.torsion_factors or group.free_rank != expected_rank:

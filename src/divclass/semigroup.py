@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .abelian import (
     AbelianPresentation,
@@ -105,13 +105,14 @@ class ClassGroupReport:
     The canonical class is the all-ones element over the height-one prime
     classes.  ``canonical_in_basis`` is its coordinate vector over a free
     basis when the class group is free (None otherwise); its coordinate gcd
-    equals the torsion number.  Set only in poset mode: ``pure``, whether
-    all maximal chains have the same cardinality, and ``cycles``, the sparse
-    fundamental cycles (``ClassExpression.cycles``) that give the tree
-    classes in the nontree basis of ``canonical_in_basis``.
+    equals the torsion number.  ``num_height_one_primes`` is None for a
+    closed form that does not list the primes.  Set only in poset mode:
+    ``pure``, whether all maximal chains have the same cardinality, and
+    ``cycles``, the fundamental cycles that give the tree classes in the
+    nontree basis of ``canonical_in_basis`` (``ClassExpression.cycles``).
     """
 
-    num_height_one_primes: int
+    num_height_one_primes: Optional[int]
     group: GroupStructure
     canonical_in_basis: Optional[tuple]
     torsion_number: int
@@ -124,16 +125,11 @@ class ClassGroupReport:
         return self.torsion_number == 0
 
 
-def presentation_from_forms(forms: Sequence[Sequence[int]], dim: int) -> AbelianPresentation:
-    """Class-group presentation: one generator per form, one relation per coordinate."""
-    matrix = IntMatrix.from_rows([tuple(f) for f in forms], cols=dim)
-    return AbelianPresentation(matrix.rows, matrix)
-
-
 def cone_report(cone: ConeDescription) -> ClassGroupReport:
     """Class group, canonical class, torsion number, and Gorenstein flag."""
     r = len(cone.forms)
-    presentation = presentation_from_forms(cone.forms, cone.dim)
+    # one generator per form, one relation per coordinate
+    presentation = AbelianPresentation(IntMatrix.from_rows(cone.forms, cols=cone.dim))
     group = structure(presentation)
     canonical = ClassElement((1,) * r)
     d = torsion_number(presentation, canonical)
@@ -179,12 +175,7 @@ def segre_veronese_cone(m: int, p: int, n: int, q: int) -> ConeDescription:
     return ConeDescription(dim, tuple(forms), interior)
 
 
-class DeterminantalInvariants(NamedTuple):
-    rank: int
-    torsion_number: int
-
-
-def determinantal_invariants(m: int, n: int) -> DeterminantalInvariants:
+def determinantal_invariants(m: int, n: int) -> ClassGroupReport:
     """Closed form for a generic determinantal ring on an m x n matrix, m <= n.
 
     The class group is free of rank one and the canonical class is n - m
@@ -194,7 +185,10 @@ def determinantal_invariants(m: int, n: int) -> DeterminantalInvariants:
     if not 1 <= m <= n:
         raise InputError("determinantal_invariants requires 1 <= m <= n")
     d = torsion_number(free_presentation(1), ClassElement((n - m,)))
-    return DeterminantalInvariants(rank=1, torsion_number=d)
+    group = GroupStructure(1, ())
+    return ClassGroupReport(
+        num_height_one_primes=None, group=group, canonical_in_basis=(n - m,), torsion_number=d
+    )
 
 
 def canonical_coordinate_gcd(report: ClassGroupReport) -> Optional[int]:

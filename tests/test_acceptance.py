@@ -121,7 +121,7 @@ def test_criterion_4_determinantal_closed_form():
     for m in range(1, 11):
         for n in range(m, 11):
             inv = determinantal_invariants(m, n)
-            if inv.rank != 1 or inv.torsion_number != n - m:
+            if inv.group != GroupStructure(1, ()) or inv.torsion_number != n - m:
                 mismatches.append((m, n, inv))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 0.1
@@ -145,7 +145,7 @@ def poset_sweep():
         expr = class_expressions(extension, tree)
         column_relations_ok = verify_column_relations(forms, tree, expr)
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
-        presentation = AbelianPresentation(matrix.rows, matrix)
+        presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))
         report = joinmeet_report(poset)
         chains = maximal_chains(poset)

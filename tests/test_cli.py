@@ -256,6 +256,38 @@ def test_family_determinantal(capsys):
     assert doc["rank"] == 1
 
 
+# recorded from the hand-written determinantal document that preceded the
+# shared builder; text output keeps the key order, which JSON output sorts
+DETERMINANTAL_1_5_TEXT = """\
+tool:
+  name: divclass
+  version: 0.1.0
+mode: determinantal
+input: None
+num_height_one_primes: None
+rank: 1
+invariant_factors:
+  (none)
+canonical_class:
+  basis: height-one-prime
+  coords:
+    - 4
+torsion_number: 4
+gorenstein: False
+family:
+  name: determinantal
+  m: 1
+  n: 5
+"""
+
+
+def test_family_determinantal_text_is_pinned(capsys):
+    code, out, err = run_cli(
+        capsys, ["--output", "text", "family", "determinantal", "--m", "1", "--n", "5"]
+    )
+    assert (code, out, err) == (0, DETERMINANTAL_1_5_TEXT, "")
+
+
 def test_family_errors(capsys):
     code, _, err = run_cli(capsys, ["family", "veronese", "--n", "4"])
     assert code == 1 and "--r" in err

@@ -107,6 +107,11 @@ def test_minor_gcd_out_of_range():
         minor_gcd(A, -1)
 
 
+def test_minor_size_must_be_an_integer():
+    with pytest.raises(InputError, match="integer"):
+        minor_gcd(IntMatrix.from_rows([[1, 2]]), 1.0)
+
+
 def test_rank_trivial():
     assert rank(IntMatrix.zeros(3, 4)) == 0
     assert rank(IntMatrix.identity(5)) == 5
@@ -191,6 +196,12 @@ def test_zero_dimensional_matrices():
 def test_solve_dimension_mismatch():
     with pytest.raises(InputError):
         solve_integer(IntMatrix.identity(2), [1, 2, 3])
+
+
+def test_solve_right_hand_side_must_be_integers():
+    # a float is never presented as an integer solution
+    with pytest.raises(InputError, match="integer"):
+        solve_integer(IntMatrix.from_rows([[2]]), [2.0])
 
 
 def test_snf_property_suite_random():

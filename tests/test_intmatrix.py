@@ -119,3 +119,19 @@ def test_from_sparse_validation():
         IntMatrix.from_sparse([{"0": 1}], cols=2)
     with pytest.raises(InputError):
         IntMatrix.from_sparse([], cols=-1)
+
+
+def test_negative_dimensions_are_input_errors():
+    with pytest.raises(InputError):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(InputError):
+        IntMatrix(0, -1, ())
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5, 7])
+def test_row_and_column_indices_out_of_range(index):
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert (M.row(1), M.column(1)) == ((3, 4), (2, 4))
+    for read in (M.row, M.column, lambda k: M[k, 0], lambda k: M[0, k]):
+        with pytest.raises(InputError, match="out of range"):
+            read(index)

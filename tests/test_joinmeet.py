@@ -288,7 +288,7 @@ def test_cross_method_torsion_on_randoms():
         matrix = relation_matrix(support_forms(extension))
         expr = class_expressions(extension, choose_tree(extension))
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
-        presentation = AbelianPresentation(matrix.rows, matrix)
+        presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))
         assert d_tree == d_matrix
 
