@@ -8,9 +8,11 @@ nonnegative generator.
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
 off its invariant factors, membership, torsion number and free coordinates
-off c = U e; only ``solve_integer`` reads V.  U and V are sparse, so U e and
-V y sum nonzeros only.  ``rank``, ``minor_gcd`` and ``solve_integer`` read a
-matrix as the presentation of its cokernel.
+off c = U e, which ``SmithDecomposition.U_mul_vector`` replays from the
+logged row operations without building U; only ``solve_integer`` reads a
+transform, V, which is sparse, so V y sums nonzeros only.  ``rank``,
+``minor_gcd`` and ``solve_integer`` read a matrix as the presentation of
+its cokernel.
 
 >>> zmod6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
@@ -22,12 +24,11 @@ GroupStructure(free_rank=0, torsion_factors=(6,))
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, as_integer
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -71,14 +72,7 @@ class ClassElement:
     coords: tuple
 
     def __init__(self, coords: Sequence[int]):
-        object.__setattr__(self, "coords", tuple(operator.index(c) for c in coords))
-
-
-def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        object.__setattr__(self, "coords", tuple(as_integer(c, "coordinate") for c in coords))
 
 
 def _check_element(p: AbelianPresentation, e: ClassElement):
@@ -112,7 +106,7 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
     while i is below the free rank, first nonzero at the rank, and the
     successive generators divide each other upward.
     """
-    i = _integer(i, "Fitting index")
+    i = as_integer(i, "Fitting index")
     if not 0 <= i <= p.generators:
         raise InputError(f"Fitting index {i} out of range for {p.generators} generators")
     k = p.generators - i
@@ -133,7 +127,7 @@ def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
     With U A V = D that holds when d_i | (U e)_i and U e vanishes past the rank.
     """
     _check_element(p, e)
-    return _diagonal_solution(p.smith, p.smith.U.mul_vector(e.coords)) is not None
+    return _diagonal_solution(p.smith, p.smith.U_mul_vector(e.coords)) is not None
 
 
 def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
@@ -153,7 +147,7 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
     """
     _check_element(p, omega)
     snf = p.smith
-    c = snf.U.mul_vector(omega.coords)
+    c = snf.U_mul_vector(omega.coords)
     full = fitting_number(p, p.generators - snf.rank)
     t = math.gcd(*c[snf.rank :])
     if t:
@@ -172,7 +166,7 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
 def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:
     """Coordinates of ``e`` over the free part of the Smith basis: (U e)_i past the rank."""
     _check_element(p, e)
-    return p.smith.U.mul_vector(e.coords)[p.smith.rank :]
+    return p.smith.U_mul_vector(e.coords)[p.smith.rank :]
 
 
 def free_presentation(r: int) -> AbelianPresentation:
@@ -196,7 +190,7 @@ def minor_gcd(A: IntMatrix, k: int) -> int:
     Equals d_1 * ... * d_k for k at most the rank, and 0 beyond it;
     I_0 is the whole ring, so k = 0 returns 1.
     """
-    k = _integer(k, "minor size")
+    k = as_integer(k, "minor size")
     if not 0 <= k <= min(A.rows, A.cols):
         raise InputError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
     return fitting_number(AbelianPresentation(A), A.rows - k)
@@ -209,9 +203,9 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     D y = U b and x = V y, where D is diagonal so each coordinate is a
     single exact-divisibility test.
     """
-    b = [_integer(x, "right-hand side entry") for x in b]
+    b = [as_integer(x, "right-hand side entry") for x in b]
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
     p = AbelianPresentation(A)
-    y = _diagonal_solution(p.smith, p.smith.U.mul_vector(b))
+    y = _diagonal_solution(p.smith, p.smith.U_mul_vector(b))
     return None if y is None else p.smith.V.mul_vector(y)

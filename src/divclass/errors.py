@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and its one integer guard."""
+
+import operator
 
 
 class DivclassError(Exception):
@@ -19,3 +21,11 @@ class InternalInvariantError(DivclassError):
     Seeing this means a bug in the library, never bad input
     (CLI exit code 2).
     """
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``; anything else is an ``InputError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None

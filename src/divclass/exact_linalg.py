@@ -8,24 +8,24 @@ minors, solutions, group invariants) lives in :mod:`divclass.abelian`,
 whose ``AbelianPresentation.smith`` is the one caller of
 ``smith_normal_form``.
 
-The Smith elimination keeps only what steers it.  Each row of the store
-is two dicts of nonzeros, its ``D`` part and its ``U`` part, so a row
-operation is one pass over each.  The pivot search, the divisibility
-fix-up and the column updates read the ``D`` parts alone; the ``U`` parts
-only follow the row operations.  ``V`` is not built during elimination:
-each column swap and column addition is appended to one flat log, and a
-column operation touches only the ``D`` parts still nonzero in the pivot
-column (the pivot row and the rows the row loop left a remainder in).  The
-pivot is the nonzero entry of least absolute value, ties at the lowest
-(row, col).  The pivot search stops at the first row holding an entry of
-absolute value 1, and the divisibility fix-up is skipped for a unit pivot;
-neither can change the pivot or the result.  The store is local to the
-elimination: the result is the invariant factors, ``U``, the width of
-``A`` and the column log.  ``U A V = D`` is checked exactly on every entry
-by replaying the log on the columns of ``U @ A`` and comparing them with
-the columns of the diagonal.  ``D`` and ``V`` are built on first read,
-``V`` by replaying the same log on the identity, so the ``V`` a caller
-reads is the one that was checked.
+The Smith elimination keeps only what steers it: the rows of ``D``, each
+a dict of its nonzeros.  Neither transform is built during elimination.
+Every operation on the rows of ``D`` (row swaps and additions, column swaps
+and additions, and the final sign changes that make the diagonal
+positive) is appended to one log in elimination order, and a column
+operation touches only the rows still nonzero in the pivot column (the
+pivot row and the rows the row loop left a remainder in).  The pivot is
+the nonzero entry of least absolute value, ties at the lowest (row, col).
+The pivot search stops at the first row holding an entry of absolute value
+1, and the divisibility fix-up is skipped for a unit pivot; neither can
+change the pivot or the result.  The result is the invariant factors, the
+shape of ``A`` and the log.  ``U A V = D`` is checked exactly on every
+entry by replaying the whole log in order on fresh copies of the rows of
+``A`` and comparing them with the rows of the diagonal; in that order every
+entry is one the elimination itself held.  ``U`` and ``V`` are built on
+first read by replaying the row and the column operations on the identity,
+so the transforms a caller reads are the ones that were checked, and
+``U v`` replays the row operations on ``v`` alone.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, as_integer
 
 
 class IntMatrix:
@@ -60,8 +60,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows = operator.index(rows)
-        cols = operator.index(cols)
+        rows = as_integer(rows, "row count")
+        cols = as_integer(cols, "column count")
         if rows < 0 or cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
         try:
@@ -102,7 +102,7 @@ class IntMatrix:
     @classmethod
     def from_sparse(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
         """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
-        cols = operator.index(cols)
+        cols = as_integer(cols, "column count")
         if cols < 0:
             raise InputError("matrix dimensions must be nonnegative")
         data = []
@@ -231,17 +231,20 @@ class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D = diag(d_1, ..., d_s, 0, ...).
 
     The positive diagonal entries are the invariant factors, d_1 | ... | d_s,
-    and ``rank`` is s; ``cols`` is the width of A.  ``column_ops`` logs the
-    elimination's column operations in order, each a triple ``(a, b, q)``:
-    column b -= q * column a when q != 0, and columns a and b swap when
-    q == 0.  ``D`` and ``V`` (the log replayed on the identity) are built
-    on first read.
+    and ``rank`` is s; A is ``rows`` x ``cols``.  ``ops`` logs every
+    operation of the elimination in order, each a 4-tuple ``(kind, a, b, q)``:
+    for kind ``"row"`` or ``"column"``, line b -= q * line a when q != 0,
+    and lines a and b swap when q == 0; for kind ``"negate"``, row a changes
+    sign (b == a, q == 0).  U is the row operations and the sign changes
+    replayed on the identity, V the column operations; ``D``, ``U`` and
+    ``V`` are built on first read, and ``U_mul_vector`` gives U v without
+    building U.
     """
 
     invariant_factors: tuple
-    U: IntMatrix
+    rows: int
     cols: int
-    column_ops: list = field(hash=False)  # a list, so the hash reads the other fields
+    ops: list = field(hash=False)  # a list, so the hash reads the other fields
 
     @property
     def rank(self) -> int:
@@ -249,16 +252,38 @@ class SmithDecomposition:
 
     @cached_property
     def D(self) -> IntMatrix:
-        return IntMatrix._of(self.U.rows, self.cols, _diagonal(self.invariant_factors, self.U.rows))
+        return IntMatrix._of(self.rows, self.cols, _diagonal(self.invariant_factors, self.rows))
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        m = self.rows
+        ops = [op for op in self.ops if op[0] != "column"]
+        return IntMatrix._of(m, m, _replay([{i: 1} for i in range(m)], ops, m))
 
     @cached_property
     def V(self) -> IntMatrix:
-        columns = _replay_columns([{j: 1} for j in range(self.cols)], self.column_ops)
-        return IntMatrix._of(self.cols, self.cols, columns).transpose()
+        n = self.cols
+        ops = [op for op in self.ops if op[0] == "column"]
+        return IntMatrix._of(n, n, _replay([{j: 1} for j in range(n)], ops, n))
+
+    def U_mul_vector(self, v: Sequence[int]) -> tuple:
+        """U v, by replaying the row operations and sign changes on a copy of ``v``."""
+        if len(v) != self.rows:
+            raise InputError(f"vector of length {len(v)} does not match {self.rows} rows")
+        x = list(v)
+        for kind, a, b, q in self.ops:
+            if kind == "row":
+                if q:
+                    x[b] -= q * x[a]
+                else:
+                    x[a], x[b] = x[b], x[a]
+            elif kind == "negate":
+                x[a] = -x[a]
+        return tuple(x)
 
 
 def _diagonal(factors: tuple, length: int) -> list:
-    """The first ``length`` rows (or columns) of diag(factors) padded with zeros, as dicts."""
+    """The first ``length`` rows of diag(factors) padded with zeros, as dicts."""
     return [{k: f} for k, f in enumerate(factors)] + [{} for _ in range(length - len(factors))]
 
 
@@ -273,18 +298,71 @@ def _add_multiple(row: dict, other: dict, q: int) -> None:
             del row[k]
 
 
-def _replay_columns(columns: list, ops: Sequence[tuple]) -> list:
-    """Apply the column log ``ops`` to ``columns``, a list of column dicts, in place."""
-    for a, b, q in ops:
-        if q:
-            _add_multiple(columns[b], columns[a], -q)
+def _replay(rows: list, ops: Sequence[tuple], cols: int) -> list:
+    """Apply the logged ``ops`` in order to ``rows``, row dicts of width ``cols``, in place."""
+    # holders[j] maps id(row) to every row that may be nonzero in column j,
+    # so a column operation scans no other row.  Row and column additions
+    # add the cells they newly fill, and each run of column additions from
+    # one column a starts by pruning holders[a] to the rows nonzero there.
+    # Keyed by identity, so row swaps leave it alone.
+    holders = [{} for _ in range(cols)]
+    for row in rows:
+        for j in row:
+            holders[j][id(row)] = row
+    pruned = None
+    for kind, a, b, q in ops:
+        if kind == "column" and q:
+            if pruned != a:
+                holders[a] = {key: row for key, row in holders[a].items() if a in row}
+                pruned = a
+            gains = holders[b]
+            for key, row in holders[a].items():
+                e = row.get(b)
+                if e is None:
+                    row[b] = -q * row[a]
+                    gains[key] = row
+                else:
+                    e -= q * row[a]
+                    if e:
+                        row[b] = e
+                    else:
+                        del row[b]
+            continue
+        pruned = None
+        if kind == "column":
+            for row in {**holders[a], **holders[b]}.values():
+                x, y = row.pop(a, None), row.pop(b, None)
+                if x is not None:
+                    row[b] = x
+                if y is not None:
+                    row[a] = y
+            holders[a], holders[b] = holders[b], holders[a]
+        elif kind == "row":
+            if q:
+                target, key = rows[b], id(rows[b])
+                get = target.get
+                for k, x in rows[a].items():
+                    e = get(k)
+                    if e is None:
+                        target[k] = -q * x
+                        holders[k][key] = target
+                    else:
+                        e -= q * x
+                        if e:
+                            target[k] = e
+                        else:
+                            del target[k]
+            else:
+                rows[a], rows[b] = rows[b], rows[a]
         else:
-            columns[a], columns[b] = columns[b], columns[a]
-    return columns
+            row = rows[a]
+            for k, x in row.items():
+                row[k] = -x
+    return rows
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of ``A`` with both unimodular transforms.
+    """Smith normal form of ``A`` with the log of both unimodular transforms.
 
     Total and deterministic; zero-dimensional matrices yield empty
     decompositions.
@@ -293,12 +371,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     (1, 6)
     """
     m, n = A.rows, A.cols
-    # Row i of the store is d[i], row i of D, and u[i], row i of U, each
-    # without zeros.  Every pivot and quotient is read off d alone; u only
-    # follows the row operations, and V is not built here at all: each
-    # column operation is appended to ``ops``.
+    # Row i of the store is d[i], row i of D, without zeros.  Every pivot
+    # and quotient is read off d alone, and neither U nor V is built here:
+    # each operation on d is appended to ``ops``.
     d = [dict(row) for row in A._rows]
-    u = [{i: 1} for i in range(m)]
     ops = []
 
     def find_pivot(t):
@@ -328,8 +404,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             break
         while True:
             i, j = pivot
-            d[t], d[i] = d[i], d[t]
-            u[t], u[i] = u[i], u[t]
+            if i != t:
+                d[t], d[i] = d[i], d[t]
+                ops.append(("row", t, i, 0))
             if j != t:
                 # rows above t are zero in both columns
                 for row in d[t:]:
@@ -339,7 +416,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                             row[t] = b
                         if a:
                             row[j] = a
-                ops.append((t, j, 0))
+                ops.append(("column", t, j, 0))
             top = d[t]
             p = top[t]
             # The rows nonzero in column t after the row loop: the pivot row
@@ -352,7 +429,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                     q = row[t] // p
                     if q:
                         _add_multiple(row, top, -q)
-                        _add_multiple(u[i], u[t], -q)
+                        ops.append(("row", t, i, q))
                     if t in row:
                         remainders.append(row)
             dirty = len(remainders) > 1
@@ -365,7 +442,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                             row[j] = e
                         else:
                             del row[j]
-                    ops.append((t, j, q))
+                    ops.append(("column", t, j, q))
                 if j in top:
                     dirty = True
             if dirty:
@@ -387,7 +464,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             # Fold the offending row into row t; re-clearing then replaces
             # the pivot by a proper divisor, which yields d_t | d_{t+1}.
             _add_multiple(top, d[offender], 1)
-            _add_multiple(u[t], u[offender], 1)
+            ops.append(("row", offender, t, -1))
             pivot = (t, t)
         t += 1
 
@@ -395,7 +472,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     for k, e in enumerate(diag):
         if e < 0:
             diag[k] = -e
-            u[k] = {j: -x for j, x in u[k].items()}
+            ops.append(("negate", k, k, 0))
     factors = tuple(e for e in diag if e)
     if any(diag[len(factors) :]):
         raise InternalInvariantError("zero invariant factor interleaved with nonzero ones")
@@ -403,10 +480,9 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
 
-    U = IntMatrix._of(m, m, u)
-    # U A V = D, checked as ((U A) E_1) E_2 ... = D with the logged column
-    # operations E_k replayed on the columns of U A: exact on every entry.
-    columns = _replay_columns(list((U @ A).transpose()._rows), ops)
-    if columns != _diagonal(factors, n):
+    # U A V = D, checked by replaying the whole log in order on fresh copies
+    # of the rows of A, R_k ... R_1 A E_1 ... E_l = D: exact on every entry,
+    # and each entry is one the elimination itself held.
+    if _replay([dict(row) for row in A._rows], ops, n) != _diagonal(factors, m):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
-    return SmithDecomposition(factors, U, n, ops)
+    return SmithDecomposition(factors, m, n, ops)

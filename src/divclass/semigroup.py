@@ -16,7 +16,6 @@ validation is attempted.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .abelian import (
     structure,
     torsion_number,
 )
-from .errors import InputError
+from .errors import InputError, as_integer
 from .exact_linalg import IntMatrix
 
 
@@ -42,7 +41,7 @@ def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -
     vanishing on the interior point is rejected (it cuts no facet of a cone
     containing that point in its interior).
     """
-    v = tuple(operator.index(x) for x in v)
+    v = tuple(as_integer(x, "form entry") for x in v)
     if not any(v):
         raise InputError("the zero vector is not a support form")
     g = math.gcd(*(abs(x) for x in v))
@@ -71,10 +70,10 @@ class ConeDescription:
     interior_point: Optional[tuple] = None
 
     def __init__(self, dim, forms, interior_point=None):
-        dim = operator.index(dim)
+        dim = as_integer(dim, "cone dimension")
         if dim < 0:
             raise InputError("cone dimension must be nonnegative")
-        forms = tuple(tuple(operator.index(x) for x in f) for f in forms)
+        forms = tuple(tuple(as_integer(x, "form entry") for x in f) for f in forms)
         for f in forms:
             if len(f) != dim:
                 raise InputError(f"form {f} does not have {dim} coordinates")
@@ -85,7 +84,7 @@ class ConeDescription:
         if len(set(forms)) != len(forms):
             raise InputError("a form is listed more than once; each facet is one prime class")
         if interior_point is not None:
-            interior_point = tuple(operator.index(x) for x in interior_point)
+            interior_point = tuple(as_integer(x, "interior point entry") for x in interior_point)
             if len(interior_point) != dim:
                 raise InputError("interior point dimension does not match the cone")
             for f in forms:
@@ -147,6 +146,7 @@ def veronese_cone(n: int, r: int) -> ConeDescription:
     normalizes to (1): the cone is a ray and the ring is a polynomial ring
     in one variable, so the r-dependence vanishes.
     """
+    n, r = as_integer(n, "n"), as_integer(r, "r")
     if n < 1 or r < 1:
         raise InputError("veronese_cone requires n >= 1 and r >= 1")
     forms = [tuple(int(j == i) for j in range(n)) for i in range(n - 1)]
@@ -163,6 +163,8 @@ def segre_veronese_cone(m: int, p: int, n: int, q: int) -> ConeDescription:
     forms on the x_i and y_j together with
     -(x_1 + ... + x_{m-1}) + p t  and  -(y_1 + ... + y_{n-1}) + q t.
     """
+    m, n = as_integer(m, "m"), as_integer(n, "n")
+    p, q = as_integer(p, "p"), as_integer(q, "q")
     if m < 2 or n < 2:
         raise InputError("segre_veronese_cone requires m >= 2 and n >= 2")
     if p < 1 or q < 1:
@@ -182,6 +184,7 @@ def determinantal_invariants(m: int, n: int) -> ClassGroupReport:
     times the generator, so the torsion number is n - m (zero, i.e.
     Gorenstein, exactly for square matrices).
     """
+    m, n = as_integer(m, "m"), as_integer(n, "n")
     if not 1 <= m <= n:
         raise InputError("determinantal_invariants requires 1 <= m <= n")
     d = torsion_number(free_presentation(1), ClassElement((n - m,)))

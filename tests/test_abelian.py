@@ -138,11 +138,17 @@ def test_torsion_number_free_is_coordinate_gcd():
         assert element_gcd(e) == math.gcd(*(abs(c) for c in coords))
 
 
+def test_class_element_coordinates_must_be_integers():
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        ClassElement((1.5,))
+    assert ClassElement((True, 2)).coords == (1, 2)
+
+
 def test_torsion_cross_check_raises_on_disagreement():
     # No elimination returns this decomposition: with the factor -2 the
     # Fitting formula reads d = 2, while 2 = (-1)(-2) passes the membership test.
     p = presentation([(2,)])
-    p.__dict__["smith"] = SmithDecomposition((-2,), IntMatrix.from_rows([[1]]), 1, [])
+    p.__dict__["smith"] = SmithDecomposition((-2,), 1, 1, [])
     with pytest.raises(InternalInvariantError, match="disagree"):
         torsion_number(p, ClassElement((2,)))
 

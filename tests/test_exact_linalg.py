@@ -298,40 +298,65 @@ def test_sparse_check_rejects_every_single_entry_change():
 
 def test_product_check_rejects_a_dropped_column_update(monkeypatch):
     # On [[2, 3]] the elimination logs column 1 -= column 0, a swap, then
-    # column 1 -= 2 column 0.  A 1 x 2 matrix has no row operations, so the
-    # first call to _add_multiple is the check's replay of the first logged
-    # addition on the columns of U A.  Dropping it there alone leaves the
-    # elimination and its invariant factors unchanged, so only the
-    # U A V = D check fails.
+    # column 1 -= 2 column 0, and no row operation.  The check's replay is
+    # the one call of _replay inside smith_normal_form; dropping the first
+    # logged addition there alone leaves the elimination, its invariant
+    # factors and its log unchanged, so only the U A V = D check fails.
     A = IntMatrix.from_rows([[2, 3]])
-    assert smith_normal_form(A).column_ops == [(0, 1, 1), (0, 1, 0), (0, 1, 2)]
-    add_multiple = exact_linalg._add_multiple
+    assert smith_normal_form(A).ops == [("column", 0, 1, 1), ("column", 0, 1, 0), ("column", 0, 1, 2)]
+    replay = exact_linalg._replay
     dropped = []
 
-    def drop_first_update(row, other, q):
-        if not dropped:
-            dropped.append((dict(row), dict(other), q))
-            return
-        add_multiple(row, other, q)
+    def drop_first_update(rows, ops, cols):
+        dropped.append(ops[0])
+        return replay(rows, ops[1:], cols)
 
-    monkeypatch.setattr(exact_linalg, "_add_multiple", drop_first_update)
+    monkeypatch.setattr(exact_linalg, "_replay", drop_first_update)
     with pytest.raises(InternalInvariantError, match="do not carry"):
         smith_normal_form(A)
-    assert dropped == [({0: 3}, {0: 2}, -1)]
+    assert dropped == [("column", 0, 1, 1)]
 
 
-def corrupted_logs(ops):
-    """Every log that differs from ``ops`` in one entry.
+def corrupted_column_logs(ops):
+    """Every log that differs from ``ops`` in one column operation.
 
     Each quotient moves by +1 and by -1 (so an addition with q = +-1 may
     become a swap, and a swap an addition), each addition acts the other
     way round (column a -= q column b), and each swap is dropped: exchanging
     the two columns of a swap names the same swap.
     """
-    for k, (a, b, q) in enumerate(ops):
-        for delta in (1, -1):
-            yield ops[:k] + [(a, b, q + delta)] + ops[k + 1 :]
-        yield ops[:k] + ([(b, a, q)] if q else []) + ops[k + 1 :]
+    for k, (kind, a, b, q) in enumerate(ops):
+        if kind == "column":
+            for delta in (1, -1):
+                yield ops[:k] + [(kind, a, b, q + delta)] + ops[k + 1 :]
+            yield ops[:k] + ([(kind, b, a, q)] if q else []) + ops[k + 1 :]
+
+
+def corrupted_row_logs(ops):
+    """Every log that differs from ``ops`` in one row operation or sign change.
+
+    Each row addition's quotient moves by +1 and by -1 (so q = +-1 may
+    become a swap), and each row swap and each sign change is dropped.
+    """
+    for k, (kind, a, b, q) in enumerate(ops):
+        if kind == "row" and q:
+            for delta in (1, -1):
+                yield ops[:k] + [(kind, a, b, q + delta)] + ops[k + 1 :]
+        elif kind != "column":
+            yield ops[:k] + ops[k + 1 :]
+
+
+def rejected_corruptions(monkeypatch, A, logs):
+    """How many of ``logs`` the check rejected, each replayed in place of A's own log; all must be."""
+    replay = exact_linalg._replay
+    rejected = 0
+    for corrupted in logs:
+        monkeypatch.setattr(exact_linalg, "_replay", lambda rows, ops, cols: replay(rows, corrupted, cols))
+        with pytest.raises(InternalInvariantError, match="do not carry"):
+            smith_normal_form(A)
+        rejected += 1
+    monkeypatch.undo()
+    return rejected
 
 
 def test_product_check_rejects_every_corrupted_column_log(monkeypatch):
@@ -346,19 +371,41 @@ def test_product_check_rejects_every_corrupted_column_log(monkeypatch):
         if A.cols and smith_normal_form(A).rank == A.cols:
             matrices.append(A)
     matrices += [relation_matrix(support_forms(bound(random_poset(rng, 8)))) for _ in range(10)]
-    replay = exact_linalg._replay_columns
     rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
         assert snf.rank == A.cols
-        for corrupted in corrupted_logs(snf.column_ops):
-            monkeypatch.setattr(exact_linalg, "_replay_columns", lambda columns, ops: replay(columns, corrupted))
-            with pytest.raises(InternalInvariantError, match="do not carry"):
-                smith_normal_form(A)
-            rejected += 1
-        changes += 3 * len(snf.column_ops)
-        monkeypatch.undo()
+        rejected += rejected_corruptions(monkeypatch, A, corrupted_column_logs(snf.ops))
+        changes += 3 * sum(kind == "column" for kind, _, _, _ in snf.ops)
     assert (rejected, changes) == (1431, 1431)
+
+
+def test_product_check_rejects_every_corrupted_row_log(monkeypatch):
+    # A square nonsingular A makes U A V = D determine U = D V^-1 A^-1 once
+    # the column operations are fixed.  Each change above replaces one
+    # elementary matrix R_k of U = ... R_2 R_1 by another one (or by the
+    # identity), so it changes U and must fail the check.  Rows are scaled
+    # by different factors, so that non-unit pivots and the divisibility
+    # fix-up's folds (row t += row i, logged with a > b) are common.
+    rng = random.Random(14)
+    matrices = []
+    while len(matrices) < 80:
+        n = rng.randint(1, 5)
+        scales = [rng.choice((1, 2, 3, 4, 6, 9)) for _ in range(n)]
+        A = IntMatrix.from_rows([[s * rng.randint(-9, 9) for _ in range(n)] for s in scales])
+        if A.determinant():
+            matrices.append(A)
+    rejected = 0
+    seen = {"addition": 0, "fold": 0, "swap": 0, "negate": 0}
+    for A in matrices:
+        ops = smith_normal_form(A).ops
+        rejected += rejected_corruptions(monkeypatch, A, corrupted_row_logs(ops))
+        for kind, a, b, q in ops:
+            if kind == "row":
+                seen["swap" if q == 0 else "fold" if a > b else "addition"] += 1
+            seen["negate"] += kind == "negate"
+    # 2 * (835 + 29) + 267 + 139 = 2134: every corrupted log was rejected
+    assert (rejected, seen) == (2134, {"addition": 835, "fold": 29, "swap": 267, "negate": 139})
 
 
 def test_smith_decompositions_pinned_at_scale():
@@ -437,6 +484,19 @@ def small_matrices(draw):
     entries = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**40), 2**40))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     return IntMatrix.from_rows(rows, cols=n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_matrices(), st.data())
+def test_lazy_u_matches_dense_elimination(A, data):
+    # U is built on first read by replaying the row operations and sign
+    # changes on the identity; U_mul_vector replays them on v without it.
+    snf = smith_normal_form(A)
+    v = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=A.rows, max_size=A.rows))
+    Uv = snf.U_mul_vector(v)
+    assert "U" not in vars(snf)
+    assert snf.U == dense_smith_normal_form(A)[0]
+    assert Uv == snf.U.mul_vector(v)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

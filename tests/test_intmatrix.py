@@ -128,6 +128,18 @@ def test_negative_dimensions_are_input_errors():
         IntMatrix(0, -1, ())
 
 
+def test_dimensions_must_be_integers():
+    with pytest.raises(InputError, match="row count must be an integer"):
+        IntMatrix(1.0, 0, ())
+    with pytest.raises(InputError, match="column count must be an integer"):
+        IntMatrix(0, 1.0, ())
+
+
+def test_sparse_width_must_be_an_integer():
+    with pytest.raises(InputError, match="column count must be an integer"):
+        IntMatrix.from_sparse([{0: 1}], 1.5)
+
+
 @pytest.mark.parametrize("index", [-1, 2, 5, 7])
 def test_row_and_column_indices_out_of_range(index):
     M = IntMatrix.from_rows([[1, 2], [3, 4]])

@@ -172,6 +172,31 @@ def test_determinantal_invariants():
         determinantal_invariants(4, 3)
 
 
+def test_determinantal_arguments_must_be_integers():
+    # 1.5 passes the range check 1 <= m <= n, so it must be caught first
+    with pytest.raises(InputError, match="m must be an integer"):
+        determinantal_invariants(1.5, 3)
+    with pytest.raises(InputError, match="n must be an integer"):
+        determinantal_invariants(1, 3.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: normalize_form((1.5, 1)),
+        lambda: ConeDescription(2.0, [(1, 0), (0, 1)]),
+        lambda: ConeDescription(2, [(1.5, 0), (0, 1)]),
+        lambda: ConeDescription(2, [(1, 0), (0, 1)], interior_point=(1, 0.5)),
+        lambda: veronese_cone(3, 2.0),
+        lambda: segre_veronese_cone(2, 1, 2.5, 1),
+    ],
+    ids=["form", "dim", "form-entry", "interior-point", "veronese", "segre-veronese"],
+)
+def test_cone_arguments_must_be_integers(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
 def test_cone_mode_matches_poset_mode():
     rng = random.Random(99)
     for _ in range(40):
@@ -266,13 +291,24 @@ def dense_cone(seed=5, r=12, dim=8, bound=100):
         # d = 0: the membership test finds the diagonal solution
         (lambda: cone_report(veronese_cone(4, 2)), False),
         (lambda: joinmeet_report(two_chains_poset(2, 2)), False),
+        (lambda: torsion_number(AbelianPresentation(MATRIX), ClassElement((1, 2, 3))), False),
+        (lambda: is_zero_class(AbelianPresentation(MATRIX), ClassElement((2, -6, 10))), False),
         (lambda: solve_integer(MATRIX, [2, -6, 10]), True),
     ],
-    ids=["cone-dense", "cone-free", "cone-gorenstein", "joinmeet", "solve_integer"],
+    ids=[
+        "cone-dense",
+        "cone-free",
+        "cone-gorenstein",
+        "joinmeet",
+        "torsion_number",
+        "is_zero_class",
+        "solve_integer",
+    ],
 )
 def test_only_solve_integer_builds_v(monkeypatch, compute, builds_v):
-    # D and V are built on first read; the reports read U and the invariant
-    # factors only, so they never build either.
+    # U, D and V are built on first read; every reader takes U v from the
+    # logged row operations and D from the invariant factors, so only
+    # solve_integer builds a transform, and that one is V.
     original = exact_linalg.smith_normal_form
     decompositions = []
 
@@ -288,4 +324,5 @@ def test_only_solve_integer_builds_v(monkeypatch, compute, builds_v):
     compute()
     (snf,) = decompositions
     assert ("V" in vars(snf)) is builds_v
+    assert "U" not in vars(snf)
     assert "D" not in vars(snf)
