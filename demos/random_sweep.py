@@ -1,10 +1,11 @@
 """Seeded randomized sweep: the library's theorems as executable properties.
 
-Every sampled poset is run through the full pipeline and checked for:
-internal consistency of the report (both torsion routes agree), the rank
-formula, fundamental-cycle coefficients in {-1, 0, 1}, torsion number zero
-exactly on pure posets, and the chain-gap divisibility bound.  A failure on
-any poset would be a bug, never a property of the poset.
+Every distinct poset structure among the samples is run through the full
+pipeline once and checked for: internal consistency of the report (both
+torsion routes agree), the rank formula, fundamental-cycle coefficients in
+{-1, 0, 1}, torsion number zero exactly on pure posets, and the chain-gap
+divisibility bound.  Each sample records its structure's outcomes.  A
+failure on any poset would be a bug, never a property of the poset.
 """
 
 import json

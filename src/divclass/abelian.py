@@ -8,11 +8,11 @@ nonnegative generator.
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
 off its invariant factors, membership, torsion number and free coordinates
-off c = U e, which ``SmithDecomposition.U_mul_vector`` replays from the
-logged row operations without building U; only ``solve_integer`` reads a
-transform, V, which is sparse, so V y sums nonzeros only.  ``rank``,
-``minor_gcd`` and ``solve_integer`` read a matrix as the presentation of
-its cokernel.
+off c = U e (``torsion_and_free_coordinates`` reads the last two off one
+c), which ``SmithDecomposition.U_mul_vector`` replays from the logged row
+operations without building U; only ``solve_integer`` reads a transform,
+V, which is sparse, so V y sums nonzeros only.  ``rank``, ``minor_gcd``
+and ``solve_integer`` read a matrix as the presentation of its cokernel.
 
 >>> zmod6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
@@ -135,15 +135,24 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
 
     Let r be the rank of the quotient by ``omega``.  The result is 0 when
     the r-th Fitting numbers of the group and of the quotient agree, and
-    the r-th Fitting number of the quotient otherwise.  Both come from the
-    group's one Smith decomposition U A V = D, with invariant factors
-    f_1 | ... | f_s: U [A | omega] diag(V, 1) = [D | c] with c = U omega.
-    Let P = f_1 ... f_s and t = gcd(c_{s+1}, ...).  If t != 0, omega raises
-    the rank and d = P t.  Otherwise the quotient's Fitting number is
-    F = gcd(P, c_i P / f_i for i <= s), and d = 0 if F = P, else d = F.
+    the r-th Fitting number of the quotient otherwise
+    (``torsion_and_free_coordinates`` reads it off one c = U omega).
+    The result is 0 exactly when ``omega`` is the zero class.
+    """
+    return torsion_and_free_coordinates(p, omega)[0]
 
-    The result is 0 exactly when ``omega`` is the zero class; the two routes
-    are checked against each other on the same c and a mismatch fails loudly.
+
+def torsion_and_free_coordinates(p: AbelianPresentation, omega: ClassElement) -> tuple:
+    """``(torsion_number(p, omega), free_coordinates(p, omega))`` from one c = U omega.
+
+    The coordinates are None when the group has torsion.  With the group's
+    one Smith decomposition U A V = D, with invariant factors
+    f_1 | ... | f_s: U [A | omega] diag(V, 1) = [D | c].  Let
+    P = f_1 ... f_s and t = gcd(c_{s+1}, ...).  If t != 0, omega raises the
+    rank and d = P t.  Otherwise the quotient's Fitting number is
+    F = gcd(P, c_i P / f_i for i <= s), and d = 0 if F = P, else d = F.
+    The membership test on the same c must give d = 0 exactly for the zero
+    class; a mismatch fails loudly.
     """
     _check_element(p, omega)
     snf = p.smith
@@ -160,7 +169,8 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
             "Fitting-ideal torsion number and membership test disagree "
             f"(d={d}, generators={p.generators})"
         )
-    return d
+    free = all(f == 1 for f in snf.invariant_factors)
+    return d, (c[snf.rank :] if free else None)
 
 
 def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:

@@ -24,9 +24,9 @@ from .abelian import (
     ClassElement,
     GroupStructure,
     element_gcd,
-    free_coordinates,
     free_presentation,
     structure,
+    torsion_and_free_coordinates,
     torsion_number,
 )
 from .errors import InputError, as_integer
@@ -131,8 +131,7 @@ def cone_report(cone: ConeDescription) -> ClassGroupReport:
     presentation = AbelianPresentation(IntMatrix.from_rows(cone.forms, cols=cone.dim))
     group = structure(presentation)
     canonical = ClassElement((1,) * r)
-    d = torsion_number(presentation, canonical)
-    coords = None if group.torsion_factors else free_coordinates(presentation, canonical)
+    d, coords = torsion_and_free_coordinates(presentation, canonical)
     return ClassGroupReport(
         num_height_one_primes=r, group=group, canonical_in_basis=coords, torsion_number=d
     )

@@ -1,9 +1,12 @@
 """Randomized property sweep over posets.
 
-Each sampled poset is pushed through the full join-meet pipeline and the
-theorems the library rests on are checked as executable properties.  Any
-failure is a bug somewhere, never a property of the poset; offending
-posets are serialized so a failure can be replayed.
+The theorems the library rests on are checked as executable properties of
+seeded random posets, through the full join-meet pipeline.  Every check
+reads only the poset's structure, its size n and its covers, so each
+distinct structure is evaluated once per ``run_sweep`` call and its
+outcomes are recorded for every sample that has it, under the sample's
+own index and poset.  Any failure is a bug somewhere, never a property of
+the poset; offending posets are serialized so a failure can be replayed.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, as_integer
 from .joinmeet import joinmeet_report
 from .poset import Poset, build_poset, disjoint_chain_pairs, maximal_chains
 
@@ -22,6 +25,8 @@ CHECKS = (
     "pure_iff_gorenstein",  # torsion number 0 exactly for pure posets
     "chain_divisibility",  # d divides |a - b| for disjoint maximal chains
 )
+# the outcomes of every structure that passes, shared by all of them
+_ALL_PASS = tuple((check, True, "") for check in CHECKS)
 
 
 def random_poset(rng: random.Random, max_n: int) -> Poset:
@@ -94,58 +99,67 @@ class SweepSummary:
         }
 
 
+def _evaluate(poset: Poset) -> tuple:
+    """``(check, passed, message)`` for each check that runs, in ``CHECKS`` order.
+
+    A report that fails its own cross-checks ends the list.  Every check
+    reads only ``n`` and the covers, never the labels, so the outcomes hold
+    for every poset of the same structure; a message is formatted only for
+    a check that fails.
+    """
+    try:
+        report = joinmeet_report(poset)
+    except InternalInvariantError as exc:
+        return (("report_consistency", False, str(exc)),)
+    failed = {}
+
+    expected_rank = report.num_height_one_primes - (poset.n + 1)
+    if report.group.free_rank != expected_rank or report.group.torsion_factors:
+        failed["rank_formula"] = f"got {report.group}, expected free rank {expected_rank}"
+
+    if any(len({v for v, _ in cycle}) != len(cycle) for cycle in report.cycles):
+        failed["cycle_coefficients"] = "coefficient outside {-1, 0, 1}"
+
+    d = report.torsion_number
+    if (d == 0) != report.pure:
+        failed["pure_iff_gorenstein"] = f"d={d}, pure={report.pure}"
+
+    pairs = disjoint_chain_pairs(maximal_chains(poset))
+    gaps = (abs(len(first) - len(second)) for first, second in pairs)
+    # the first gap that d fails to divide, where d = 0 divides only 0
+    bad_gap = next((gap for gap in gaps if (gap % d if d else gap)), None)
+    if bad_gap is not None:
+        failed["chain_divisibility"] = f"d={d} does not divide chain gap {bad_gap}"
+
+    if not failed:
+        return _ALL_PASS
+    return tuple((check, check not in failed, failed.get(check, "")) for check in CHECKS)
+
+
 def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
-    """Evaluate every property on ``count`` seeded random posets."""
+    """Evaluate every property on ``count`` seeded random posets.
+
+    Each distinct structure ``(n, covers)`` is evaluated once per call, and
+    every sample records its structure's outcomes under its own index and poset.
+    """
+    count = as_integer(count, "sweep count")
+    max_n = as_integer(max_n, "sweep max_n")
     if count < 1:
         raise InputError("sweep count must be at least 1")
     if not 0 <= max_n <= 10:
         raise InputError("sweep max_n must be between 0 and 10")
     rng = random.Random(seed)
     summary = SweepSummary(count=count, max_n=max_n, seed=seed)
+    # keyed by n and the covers as a bitmask with bit i * n + j for cover
+    # (i, j); both indices are below n, so distinct cover sets differ
+    outcomes_of = {}
     for index in range(count):
         poset = random_poset(rng, max_n)
-        try:
-            report = joinmeet_report(poset)
-        except InternalInvariantError as exc:
-            summary.record("report_consistency", False, index, poset, str(exc))
-            continue
-        summary.record("report_consistency", True, index, poset)
-
-        expected_rank = report.num_height_one_primes - (poset.n + 1)
-        summary.record(
-            "rank_formula",
-            report.group.free_rank == expected_rank and not report.group.torsion_factors,
-            index,
-            poset,
-            f"got {report.group}, expected free rank {expected_rank}",
-        )
-
-        summary.record(
-            "cycle_coefficients",
-            all(len({v for v, _ in cycle}) == len(cycle) for cycle in report.cycles),
-            index,
-            poset,
-            "coefficient outside {-1, 0, 1}",
-        )
-
-        summary.record(
-            "pure_iff_gorenstein",
-            (report.torsion_number == 0) == report.pure,
-            index,
-            poset,
-            f"d={report.torsion_number}, pure={report.pure}",
-        )
-
-        d = report.torsion_number
-        pairs = disjoint_chain_pairs(maximal_chains(poset))
-        gaps = (abs(len(first) - len(second)) for first, second in pairs)
-        # the first gap that d fails to divide, where d = 0 divides only 0
-        bad_gap = next((gap for gap in gaps if (gap % d if d else gap)), None)
-        summary.record(
-            "chain_divisibility",
-            bad_gap is None,
-            index,
-            poset,
-            f"d={d} does not divide chain gap {bad_gap}" if bad_gap is not None else "",
-        )
+        n = poset.n
+        key = (n, sum(1 << (i * n + j) for i, j in poset.covers))
+        outcomes = outcomes_of.get(key)
+        if outcomes is None:
+            outcomes = outcomes_of[key] = _evaluate(poset)
+        for check, ok, message in outcomes:
+            summary.record(check, ok, index, poset, message)
     return summary

@@ -2,8 +2,10 @@
 
 Nothing here may call into divclass' own linear algebra, chain search or
 canonicalization: these are the second opinions the library is checked
-against.  The one exception is the input generator ``layered_poset``, which
-hands its relations to ``build_poset`` to make a test input, not an answer.
+against.  The exceptions are the input generator ``layered_poset``, which
+hands its relations to ``build_poset`` to make a test input, not an answer,
+and ``per_sample_sweep``, which reruns the library on every sample to check
+that the sweep's reuse of outcomes changes nothing.
 ``dense_smith_normal_form`` stores its result in ``IntMatrix`` values, a
 container only, so that it compares directly with a ``SmithDecomposition``.
 """
@@ -16,6 +18,9 @@ from itertools import combinations, product
 import networkx as nx
 
 from divclass import IntMatrix, LimitExceededError, Poset, build_poset
+from divclass import sweep
+from divclass.errors import InternalInvariantError
+from divclass.poset import disjoint_chain_pairs, maximal_chains
 
 
 def det_cofactor(rows):
@@ -262,6 +267,59 @@ def layered_poset(n, width=8, seed=1):
         if k + 2 < len(layers):
             relations.append((rng.choice(layers[k]), rng.choice(layers[k + 2])))
     return build_poset(names, relations)
+
+
+def per_sample_sweep(count, max_n, seed):
+    """The sweep loop that ``run_sweep`` replaced: every sample evaluated on its own.
+
+    It calls ``joinmeet_report`` through the ``sweep`` module, so a test
+    that patches it there reaches both loops.
+    """
+    rng = random.Random(seed)
+    summary = sweep.SweepSummary(count=count, max_n=max_n, seed=seed)
+    for index in range(count):
+        poset = sweep.random_poset(rng, max_n)
+        try:
+            report = sweep.joinmeet_report(poset)
+        except InternalInvariantError as exc:
+            summary.record("report_consistency", False, index, poset, str(exc))
+            continue
+        summary.record("report_consistency", True, index, poset)
+
+        expected_rank = report.num_height_one_primes - (poset.n + 1)
+        summary.record(
+            "rank_formula",
+            report.group.free_rank == expected_rank and not report.group.torsion_factors,
+            index,
+            poset,
+            f"got {report.group}, expected free rank {expected_rank}",
+        )
+        summary.record(
+            "cycle_coefficients",
+            all(len({v for v, _ in cycle}) == len(cycle) for cycle in report.cycles),
+            index,
+            poset,
+            "coefficient outside {-1, 0, 1}",
+        )
+        summary.record(
+            "pure_iff_gorenstein",
+            (report.torsion_number == 0) == report.pure,
+            index,
+            poset,
+            f"d={report.torsion_number}, pure={report.pure}",
+        )
+        d = report.torsion_number
+        pairs = disjoint_chain_pairs(maximal_chains(poset))
+        gaps = (abs(len(first) - len(second)) for first, second in pairs)
+        bad_gap = next((gap for gap in gaps if (gap % d if d else gap)), None)
+        summary.record(
+            "chain_divisibility",
+            bad_gap is None,
+            index,
+            poset,
+            f"d={d} does not divide chain gap {bad_gap}" if bad_gap is not None else "",
+        )
+    return summary
 
 
 def dense_smith_normal_form(A):

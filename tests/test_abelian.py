@@ -17,7 +17,12 @@ from divclass import (
     structure,
     torsion_number,
 )
-from divclass.abelian import element_gcd, free_coordinates, free_presentation
+from divclass.abelian import (
+    element_gcd,
+    free_coordinates,
+    free_presentation,
+    torsion_and_free_coordinates,
+)
 
 from oracles import brute_minor_gcd, cyclic_quotient_order
 
@@ -136,6 +141,20 @@ def test_torsion_number_free_is_coordinate_gcd():
         e = ClassElement(coords)
         assert torsion_number(free_presentation(r), e) == element_gcd(e)
         assert element_gcd(e) == math.gcd(*(abs(c) for c in coords))
+
+
+def test_torsion_and_free_coordinates_match_the_two_readers():
+    rng = random.Random(23)
+    for _ in range(80):
+        g, k = rng.randint(1, 4), rng.randint(0, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(g)]
+        p = AbelianPresentation(IntMatrix.from_rows(rows, cols=k))
+        e = ClassElement([rng.randint(-5, 5) for _ in range(g)])
+        free = not structure(p).torsion_factors
+        expected = (torsion_number(p, e), free_coordinates(p, e) if free else None)
+        assert torsion_and_free_coordinates(p, e) == expected
+    with pytest.raises(InputError):
+        torsion_and_free_coordinates(free_presentation(2), ClassElement((1,)))
 
 
 def test_class_element_coordinates_must_be_integers():

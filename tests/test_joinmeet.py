@@ -346,9 +346,15 @@ def calls(monkeypatch):
     return counts
 
 
-def test_sweep_builds_each_step_once_per_sample(calls):
+def test_sweep_builds_each_step_once_per_structure(calls):
+    # every sample is built; the report steps run once per distinct (n, covers)
+    rng = random.Random(1)
+    distinct = {(p.n, p.covers) for p in (random_poset(rng, 7) for _ in range(100))}
+    calls.clear()
     run_sweep(100, 7, 1)
-    assert {step: calls[step] for step in STEPS} == {step: 100 for step in STEPS}
+    assert len(distinct) < 100
+    assert calls["build_poset"] == 100
+    assert {step: calls[step] for step in STEPS} == {step: len(distinct) for step in STEPS}
 
 
 def test_report_builds_each_step_once(calls):

@@ -326,3 +326,24 @@ def test_only_solve_integer_builds_v(monkeypatch, compute, builds_v):
     assert ("V" in vars(snf)) is builds_v
     assert "U" not in vars(snf)
     assert "D" not in vars(snf)
+
+
+@pytest.mark.parametrize(
+    "cone",
+    [dense_cone(), segre_veronese_cone(4, 2, 9, 3), veronese_cone(4, 6)],
+    ids=["cone-dense", "cone-free", "cone-torsion"],
+)
+def test_cone_report_replays_the_row_log_once(monkeypatch, cone):
+    # the torsion number and the free coordinates both read one c = U omega
+    original = exact_linalg.SmithDecomposition.U_mul_vector
+    calls = []
+
+    def counting(snf, v):
+        calls.append(v)
+        return original(snf, v)
+
+    monkeypatch.setattr(exact_linalg.SmithDecomposition, "U_mul_vector", counting)
+    report = cone_report(cone)
+    assert len(calls) == 1
+    assert (report.canonical_in_basis is None) == bool(report.group.torsion_factors)
+

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+import divclass.sweep as sweep_module
 from divclass import InputError, build_poset
+from divclass.errors import InternalInvariantError
 from divclass.sweep import poset_document, random_poset, run_sweep
+
+from oracles import per_sample_sweep
 
 
 def test_random_poset_deterministic():
@@ -55,3 +59,64 @@ def test_run_sweep_records_failures(monkeypatch):
     failure = summary.failures[0]
     assert failure["check"] == "report_consistency"
     assert "elements" in failure["poset"]
+
+
+@pytest.mark.parametrize("count, max_n, seed", [(200, 7, 42), (3000, 10, 1), (1000, 10, 5)])
+def test_run_sweep_matches_per_sample_evaluation(count, max_n, seed):
+    reference = per_sample_sweep(count, max_n, seed).as_document()
+    assert run_sweep(count, max_n, seed).as_document() == reference
+
+
+def samples(count, max_n, seed):
+    """The posets that run_sweep(count, max_n, seed) draws, in order."""
+    rng = random.Random(seed)
+    return [random_poset(rng, max_n) for _ in range(count)]
+
+
+def test_each_distinct_structure_is_evaluated_once(monkeypatch):
+    seen = []
+    original = sweep_module.joinmeet_report
+
+    def counting(poset):
+        seen.append((poset.n, poset.covers))
+        return original(poset)
+
+    monkeypatch.setattr(sweep_module, "joinmeet_report", counting)
+    assert run_sweep(3000, 10, 1).all_passed
+    distinct = {(p.n, p.covers) for p in samples(3000, 10, 1)}
+    assert len(seen) == len(set(seen)) == len(distinct) == 1169
+
+
+def test_forced_failure_reaches_every_sample_of_its_structure(monkeypatch):
+    # the three-element chain: ten samples, relabelled five ways
+    target = (3, frozenset({(0, 1), (1, 2)}))
+    posets = samples(300, 4, 3)
+    hits = [index for index, p in enumerate(posets) if (p.n, p.covers) == target]
+    assert len(hits) == 10
+    original = sweep_module.joinmeet_report
+
+    def broken(poset):
+        if (poset.n, poset.covers) == target:
+            raise InternalInvariantError("forced failure")
+        return original(poset)
+
+    monkeypatch.setattr(sweep_module, "joinmeet_report", broken)
+    summary = run_sweep(300, 4, 3)
+    assert [f["index"] for f in summary.failures] == hits
+    for failure in summary.failures:
+        assert failure["check"] == "report_consistency"
+        assert failure["message"] == "forced failure"
+        assert failure["poset"] == poset_document(posets[failure["index"]])
+    assert len({str(failure["poset"]) for failure in summary.failures}) == 5
+    doc = summary.as_document()
+    assert doc["checks"]["report_consistency"] == {"pass": 300 - len(hits), "fail": len(hits)}
+    for check in sweep_module.CHECKS[1:]:
+        assert doc["checks"][check] == {"pass": 300 - len(hits), "fail": 0}
+    assert doc == per_sample_sweep(300, 4, 3).as_document()
+
+
+@pytest.mark.parametrize("count, max_n", [(2.5, 3), ("3", 3), (2, 3.5), (2, "3")])
+def test_run_sweep_arguments_must_be_integers(count, max_n):
+    with pytest.raises(InputError, match="must be an integer"):
+        run_sweep(count, max_n, 1)
+
