@@ -7,9 +7,10 @@ nonnegative generator.
 
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
-off its invariant factors, membership, torsion number and free coordinates
-off c = U e (``torsion_and_free_coordinates`` reads the last two off one
-c), which ``SmithDecomposition.U_mul_vector`` replays from the logged row
+off its invariant factors, membership off c = U e, and the torsion number
+and the free coordinates together off one c = U omega
+(``torsion_and_free_coordinates``, the one reader of both).
+``SmithDecomposition.U_mul_vector`` replays c from the logged row
 operations without building U; only ``solve_integer`` reads a transform,
 V, which is sparse, so V y sums nonzeros only.  ``rank``, ``minor_gcd``
 and ``solve_integer`` read a matrix as the presentation of its cokernel.
@@ -143,10 +144,12 @@ def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
 
 
 def torsion_and_free_coordinates(p: AbelianPresentation, omega: ClassElement) -> tuple:
-    """``(torsion_number(p, omega), free_coordinates(p, omega))`` from one c = U omega.
+    """``(torsion_number(p, omega), coordinates)`` from one c = U omega.
 
-    The coordinates are None when the group has torsion.  With the group's
-    one Smith decomposition U A V = D, with invariant factors
+    When the group is free, the coordinates of omega over the free part of
+    the Smith basis are the entries of c past the rank, and their gcd is
+    the torsion number; they are None when the group has torsion.  With the
+    group's one Smith decomposition U A V = D, with invariant factors
     f_1 | ... | f_s: U [A | omega] diag(V, 1) = [D | c].  Let
     P = f_1 ... f_s and t = gcd(c_{s+1}, ...).  If t != 0, omega raises the
     rank and d = P t.  Otherwise the quotient's Fitting number is
@@ -171,22 +174,6 @@ def torsion_and_free_coordinates(p: AbelianPresentation, omega: ClassElement) ->
         )
     free = all(f == 1 for f in snf.invariant_factors)
     return d, (c[snf.rank :] if free else None)
-
-
-def free_coordinates(p: AbelianPresentation, e: ClassElement) -> tuple:
-    """Coordinates of ``e`` over the free part of the Smith basis: (U e)_i past the rank."""
-    _check_element(p, e)
-    return p.smith.U_mul_vector(e.coords)[p.smith.rank :]
-
-
-def free_presentation(r: int) -> AbelianPresentation:
-    """The free group Z^r: r generators and no relations."""
-    return AbelianPresentation(IntMatrix(r, 0, ()))
-
-
-def element_gcd(e: ClassElement) -> int:
-    """gcd of the absolute coordinate values; 0 for the zero element."""
-    return math.gcd(*(abs(c) for c in e.coords))
 
 
 def rank(A: IntMatrix) -> int:

@@ -39,6 +39,30 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import InputError, InternalInvariantError, as_integer
 
 
+def _dimension(value, what: str) -> int:
+    value = as_integer(value, what)
+    if value < 0:
+        raise InputError("matrix dimensions must be nonnegative")
+    return value
+
+
+def _entry_rows(rows: Iterable[Iterable[tuple]], cols: int) -> tuple:
+    """Each row's (column, entry) pairs as a dict of its nonzeros: the constructors' one guard.
+
+    Columns must be integers in range(cols) and entries integers.
+    """
+    out = []
+    for pairs in rows:
+        try:
+            row = {operator.index(j): operator.index(e) for j, e in pairs}
+        except TypeError:
+            raise InputError("matrix entries and their columns must be integers") from None
+        if not all(0 <= j < cols for j in row):
+            raise InputError(f"column index out of range for {cols} columns")
+        out.append({j: e for j, e in row.items() if e})
+    return tuple(out)
+
+
 class IntMatrix:
     """An immutable rows x cols matrix of integers.
 
@@ -60,22 +84,16 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows = as_integer(rows, "row count")
-        cols = as_integer(cols, "column count")
-        if rows < 0 or cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        try:
-            data = [operator.index(e) for e in entries]
-        except TypeError:
-            raise InputError("matrix entries must be integers") from None
+        rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
+        data = list(entries)
         if len(data) != rows * cols:
             raise InputError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
             )
         self.rows = rows
         self.cols = cols
-        self._rows = tuple(
-            {j: e for j, e in enumerate(data[i * cols : (i + 1) * cols]) if e} for i in range(rows)
+        self._rows = _entry_rows(
+            (enumerate(data[i * cols : (i + 1) * cols]) for i in range(rows)), cols
         )
 
     @classmethod
@@ -97,23 +115,13 @@ class IntMatrix:
                 raise InputError(f"rows have length {width}, not {cols}")
         else:
             width = 0 if cols is None else cols
-        return cls(len(rows), width, (e for r in rows for e in r))
+        return cls.from_sparse((dict(enumerate(r)) for r in rows), width)
 
     @classmethod
     def from_sparse(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
         """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
-        cols = as_integer(cols, "column count")
-        if cols < 0:
-            raise InputError("matrix dimensions must be nonnegative")
-        data = []
-        for row in rows:
-            try:
-                entries = {operator.index(j): operator.index(e) for j, e in row.items()}
-            except TypeError:
-                raise InputError("matrix entries and their columns must be integers") from None
-            if not all(0 <= j < cols for j in entries):
-                raise InputError(f"column index out of range for {cols} columns")
-            data.append({j: e for j, e in entries.items() if e})
+        cols = _dimension(cols, "column count")
+        data = _entry_rows((row.items() for row in rows), cols)
         return cls._of(len(data), cols, data)
 
     @classmethod
@@ -126,16 +134,19 @@ class IntMatrix:
 
     def __getitem__(self, key: tuple) -> int:
         i, j = key
+        i, j = as_integer(i, "row index"), as_integer(j, "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index {(i, j)} out of range for a {self.rows}x{self.cols} matrix")
         return self._rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
+        i = as_integer(i, "row index")
         if not 0 <= i < self.rows:
             raise InputError(f"row {i} out of range for a {self.rows}x{self.cols} matrix")
         return tuple(map(self._rows[i].get, range(self.cols), itertools.repeat(0)))
 
     def column(self, j: int) -> tuple:
+        j = as_integer(j, "column index")
         if not 0 <= j < self.cols:
             raise InputError(f"column {j} out of range for a {self.rows}x{self.cols} matrix")
         return tuple(row.get(j, 0) for row in self._rows)

@@ -212,7 +212,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     if not verify_column_relations(forms, tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
     canonical = ClassElement((1,) * r)
-    d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
+    d_tree = math.gcd(*expr.canonical_coords)
     d_matrix = torsion_number(presentation, canonical)
     if d_tree != d_matrix:
         raise InternalInvariantError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, LimitExceededError
+from .errors import InputError, InternalInvariantError, LimitExceededError, as_integer
 
 DEFAULT_CHAIN_LIMIT = 10**6
 
@@ -195,6 +195,7 @@ def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:
     An explicit stack of (element, chain length) replaces recursion, so a
     long chain costs no call depth; up covers are pushed in reverse order.
     """
+    limit = as_integer(limit, "chain limit")
     chains: list = []
     chain: list = []
     pending = [(start, 1) for start in reversed(poset.minimals())]
@@ -236,6 +237,7 @@ def two_chains_poset(a: int, b: int) -> Poset:
     The chains have a+1 and b+1 elements; a = b = 0 is the two-element
     antichain.
     """
+    a, b = as_integer(a, "chain length"), as_integer(b, "chain length")
     if a < 0 or b < 0:
         raise InputError("chain lengths must be nonnegative")
     xs = [f"x{i}" for i in range(a + 1)]

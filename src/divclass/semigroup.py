@@ -23,14 +23,20 @@ from .abelian import (
     AbelianPresentation,
     ClassElement,
     GroupStructure,
-    element_gcd,
-    free_presentation,
     structure,
     torsion_and_free_coordinates,
-    torsion_number,
 )
 from .errors import InputError, as_integer
 from .exact_linalg import IntMatrix
+
+
+def _integer_vector(values: Sequence[int], what: str) -> tuple:
+    """``values`` as a tuple of ints; a non-sequence or a non-integer entry is an ``InputError``."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence of integers, got {values!r}") from None
+    return tuple(as_integer(x, f"{what} entry") for x in entries)
 
 
 def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -> tuple:
@@ -41,12 +47,13 @@ def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -
     vanishing on the interior point is rejected (it cuts no facet of a cone
     containing that point in its interior).
     """
-    v = tuple(as_integer(x, "form entry") for x in v)
+    v = _integer_vector(v, "form")
     if not any(v):
         raise InputError("the zero vector is not a support form")
     g = math.gcd(*(abs(x) for x in v))
     w = tuple(x // g for x in v)
     if interior is not None:
+        interior = _integer_vector(interior, "interior point")
         if len(interior) != len(w):
             raise InputError("interior point dimension does not match the form")
         value = sum(a * b for a, b in zip(w, interior))
@@ -73,7 +80,7 @@ class ConeDescription:
         dim = as_integer(dim, "cone dimension")
         if dim < 0:
             raise InputError("cone dimension must be nonnegative")
-        forms = tuple(tuple(as_integer(x, "form entry") for x in f) for f in forms)
+        forms = tuple(_integer_vector(f, "form") for f in forms)
         for f in forms:
             if len(f) != dim:
                 raise InputError(f"form {f} does not have {dim} coordinates")
@@ -84,7 +91,7 @@ class ConeDescription:
         if len(set(forms)) != len(forms):
             raise InputError("a form is listed more than once; each facet is one prime class")
         if interior_point is not None:
-            interior_point = tuple(as_integer(x, "interior point entry") for x in interior_point)
+            interior_point = _integer_vector(interior_point, "interior point")
             if len(interior_point) != dim:
                 raise InputError("interior point dimension does not match the cone")
             for f in forms:
@@ -186,19 +193,7 @@ def determinantal_invariants(m: int, n: int) -> ClassGroupReport:
     m, n = as_integer(m, "m"), as_integer(n, "n")
     if not 1 <= m <= n:
         raise InputError("determinantal_invariants requires 1 <= m <= n")
-    d = torsion_number(free_presentation(1), ClassElement((n - m,)))
     group = GroupStructure(1, ())
     return ClassGroupReport(
-        num_height_one_primes=None, group=group, canonical_in_basis=(n - m,), torsion_number=d
+        num_height_one_primes=None, group=group, canonical_in_basis=(n - m,), torsion_number=n - m
     )
-
-
-def canonical_coordinate_gcd(report: ClassGroupReport) -> Optional[int]:
-    """gcd of the free-basis coordinates of the canonical class, when free.
-
-    For a free class group this equals the torsion number, whatever basis
-    the coordinates were taken in.
-    """
-    if report.canonical_in_basis is None:
-        return None
-    return element_gcd(ClassElement(report.canonical_in_basis))

@@ -17,12 +17,7 @@ from divclass import (
     structure,
     torsion_number,
 )
-from divclass.abelian import (
-    element_gcd,
-    free_coordinates,
-    free_presentation,
-    torsion_and_free_coordinates,
-)
+from divclass.abelian import torsion_and_free_coordinates
 
 from oracles import brute_minor_gcd, cyclic_quotient_order
 
@@ -32,6 +27,11 @@ def presentation(columns, generators=None):
     g = generators if generators is not None else len(columns[0])
     rows = [[col[i] for col in columns] for i in range(g)]
     return AbelianPresentation(IntMatrix.from_rows(rows, cols=len(columns)))
+
+
+def free_presentation(r):
+    """The free group Z^r: r generators and no relations."""
+    return AbelianPresentation(IntMatrix(r, 0, ()))
 
 
 def test_structure_examples():
@@ -92,23 +92,34 @@ def test_quotient_dimension_mismatch():
 
 
 def test_element_length_checked_by_every_reader():
-    for reader in (quotient_by, is_zero_class, torsion_number, free_coordinates):
+    for reader in (quotient_by, is_zero_class, torsion_number, torsion_and_free_coordinates):
         with pytest.raises(InputError):
             reader(free_presentation(2), ClassElement((1,)))
 
 
+def free_coordinates(p, e):
+    """(U e) past the rank, with U built from the operation log."""
+    return p.smith.U.mul_vector(e.coords)[p.smith.rank :]
+
+
 def test_free_coordinates_examples():
     # Z^3 has no relations, so the Smith basis is the generator basis
-    assert free_coordinates(free_presentation(3), ClassElement((4, -1, 0))) == (4, -1, 0)
-    # Z/6 has no free part
-    assert free_coordinates(presentation([(6,)]), ClassElement((5,))) == ()
+    z3 = free_presentation(3)
+    e = ClassElement((4, -1, 0))
+    assert torsion_and_free_coordinates(z3, e)[1] == free_coordinates(z3, e) == (4, -1, 0)
+    # Z/6 has no free part, and a group with torsion gets no coordinates
+    zmod6 = presentation([(6,)])
+    assert free_coordinates(zmod6, ClassElement((5,))) == ()
+    assert torsion_and_free_coordinates(zmod6, ClassElement((5,)))[1] is None
     # Z^2 / <(1, 1)> = Z: an element's coordinate is zero exactly for the zero class
     line = presentation([(1, 1)])
-    assert len(free_coordinates(line, ClassElement((1, 0)))) == 1
+    assert len(torsion_and_free_coordinates(line, ClassElement((1, 0)))[1]) == 1
     for coords in [(1, 1), (3, 3), (0, 0), (1, 0), (2, -1)]:
         e = ClassElement(coords)
-        assert (free_coordinates(line, e) == (0,)) == is_zero_class(line, e)
-        assert abs(free_coordinates(line, e)[0]) == abs(coords[0] - coords[1])
+        (coordinate,) = torsion_and_free_coordinates(line, e)[1]
+        assert (coordinate,) == free_coordinates(line, e)
+        assert (coordinate == 0) == is_zero_class(line, e)
+        assert abs(coordinate) == abs(coords[0] - coords[1])
 
 
 def test_is_zero_class_examples():
@@ -139,8 +150,8 @@ def test_torsion_number_free_is_coordinate_gcd():
         r = rng.randint(0, 5)
         coords = tuple(rng.randint(-20, 20) for _ in range(r))
         e = ClassElement(coords)
-        assert torsion_number(free_presentation(r), e) == element_gcd(e)
-        assert element_gcd(e) == math.gcd(*(abs(c) for c in coords))
+        assert torsion_number(free_presentation(r), e) == math.gcd(*coords)
+        assert torsion_and_free_coordinates(free_presentation(r), e) == (math.gcd(*coords), coords)
 
 
 def test_torsion_and_free_coordinates_match_the_two_readers():

@@ -356,12 +356,15 @@ def test_unknown_flag_is_input_error(capsys):
     assert code == 1
 
 
-def run_python(args):
+def divclass_src():
     # the child imports the same divclass as this test, installed or not
     import divclass
 
-    src = os.path.dirname(os.path.dirname(os.path.abspath(divclass.__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return os.path.dirname(os.path.dirname(os.path.abspath(divclass.__file__)))
+
+
+def run_python(args):
+    path = os.pathsep.join(filter(None, (divclass_src(), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
@@ -377,16 +380,30 @@ def test_module_entry_point():
 
 
 def test_cli_imports_only_the_standard_library():
-    proc = run_python(
+    # -I ignores PYTHONPATH and the user site directory; the child runs one
+    # ring of each mode, so an import made only while computing shows too
+    rings = [
+        ["family", "two-chains", "--a", "3", "--b", "1"],
+        ["family", "segre", "--m", "4", "--p", "2", "--n", "9", "--q", "3"],
+        ["family", "determinantal", "--m", "2", "--n", "5"],
+        ["sweep", "--count", "20"],
+    ]
+    proc = subprocess.run(
         [
+            sys.executable,
+            "-I",
             "-c",
             "import sys\n"
+            f"sys.path.insert(0, {divclass_src()!r})\n"
             "before = set(sys.modules)\n"
             "import divclass.cli\n"
-            "divclass.cli.build_parser()\n"
+            f"codes = [divclass.cli.main(argv) for argv in {rings!r}]\n"
             "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
-            "print(sorted(new - set(sys.stdlib_module_names) - {'divclass'}))",
-        ]
+            "print(codes, sorted(new - set(sys.stdlib_module_names) - {'divclass'}),\n"
+            "      sorted({'networkx', 'hypothesis'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] [] []"

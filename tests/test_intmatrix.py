@@ -147,3 +147,12 @@ def test_row_and_column_indices_out_of_range(index):
     for read in (M.row, M.column, lambda k: M[k, 0], lambda k: M[0, k]):
         with pytest.raises(InputError, match="out of range"):
             read(index)
+
+
+@pytest.mark.parametrize("index", [1.5, 0.5, 1.0, "1"])
+def test_row_and_column_indices_must_be_integers(index):
+    # 1.5 used to read as an absent entry (0) and 1.0 as column 1
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for read in (M.row, M.column, lambda k: M[k, 0], lambda k: M[0, k]):
+        with pytest.raises(InputError, match="index must be an integer"):
+            read(index)

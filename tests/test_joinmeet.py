@@ -18,6 +18,7 @@ from divclass import (
     class_expressions,
     cone_report,
     joinmeet_report,
+    maximal_chains,
     relation_matrix,
     support_forms,
     torsion_number,
@@ -26,7 +27,6 @@ from divclass import (
 )
 from divclass import joinmeet, poset
 from divclass.cli import main
-from divclass.semigroup import canonical_coordinate_gcd
 from divclass.sweep import random_poset, run_sweep
 from oracles import dense_class_expressions, layered_poset
 
@@ -315,7 +315,26 @@ def test_cone_mode_agrees_with_poset_mode():
             rep.gorenstein,
             rep.num_height_one_primes,
         )
-        assert canonical_coordinate_gcd(cone) == canonical_coordinate_gcd(rep)
+        assert math.gcd(*cone.canonical_in_basis) == math.gcd(*rep.canonical_in_basis)
+
+
+def chain_length_gcd(p):
+    """gcd of |C| - min |C'| over the maximal chains C; 0 for the empty poset."""
+    lengths = [len(chain) for chain in maximal_chains(p)]
+    low = min(lengths, default=0)
+    return math.gcd(*(length - low for length in lengths))
+
+
+def test_torsion_number_is_the_chain_length_gcd():
+    # each fundamental cycle is the difference of two maximal chains, and
+    # its net up-count is their length gap
+    for a in range(6):
+        for b in range(6):
+            assert chain_length_gcd(two_chains_poset(a, b)) == abs(a - b)
+    rng = random.Random(11)
+    for _ in range(2000):
+        p = random_poset(rng, 10)
+        assert joinmeet_report(p).torsion_number == chain_length_gcd(p), p
 
 
 STEPS = ("bound", "support_forms", "choose_tree", "class_expressions")

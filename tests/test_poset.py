@@ -227,3 +227,17 @@ def test_two_chains_builder():
     p52 = two_chains_poset(5, 2)
     assert p52.n == 9
     assert len(p52.covers) == 7
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: two_chains_poset(1.5, 2),
+        lambda: two_chains_poset(2, "1"),
+        lambda: maximal_chains(two_chains_poset(2, 1), limit="3"),
+    ],
+    ids=["a", "b", "limit"],
+)
+def test_chain_arguments_must_be_integers(build):
+    with pytest.raises(InputError, match="must be an integer"):
+        build()

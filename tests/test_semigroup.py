@@ -29,8 +29,7 @@ from divclass import (
     veronese_cone,
 )
 from divclass import exact_linalg
-from divclass.abelian import free_coordinates
-from divclass.semigroup import canonical_coordinate_gcd
+from divclass.abelian import torsion_and_free_coordinates
 from divclass.sweep import random_poset
 
 
@@ -126,7 +125,7 @@ def test_segre_4293():
     rep = cone_report(segre_veronese_cone(4, 2, 9, 3))
     assert rep.group == GroupStructure(1, ())
     assert rep.torsion_number == 6
-    assert canonical_coordinate_gcd(rep) == 6
+    assert math.gcd(*rep.canonical_in_basis) == 6
 
 
 def test_segre_structure_and_gorenstein_sweep():
@@ -156,7 +155,7 @@ def test_free_basis_coordinate_gcd_matches_torsion_number():
     for cone in cases:
         rep = cone_report(cone)
         if rep.canonical_in_basis is not None:
-            assert canonical_coordinate_gcd(rep) == rep.torsion_number
+            assert math.gcd(*rep.canonical_in_basis) == rep.torsion_number
 
 
 def test_determinantal_invariants():
@@ -194,6 +193,22 @@ def test_determinantal_arguments_must_be_integers():
 )
 def test_cone_arguments_must_be_integers(build):
     with pytest.raises(InputError, match="must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: normalize_form((1, -2), interior=(0.5, 0.1)),
+        lambda: normalize_form((1, -2), interior=("a", "b")),
+        lambda: normalize_form((1, -2), interior=5),
+        lambda: ConeDescription(2, [(1, 0), (0, 1)], interior_point=5),
+    ],
+    ids=["float", "string", "scalar", "cone-scalar"],
+)
+def test_interior_point_must_be_a_lattice_point(build):
+    # (0.5, 0.1) would orient (1, -2) by a point that is not a lattice point
+    with pytest.raises(InputError, match="interior point"):
         build()
 
 
@@ -236,7 +251,24 @@ def read_every_invariant():
         fitting_number(p, i)
     is_zero_class(p, e)
     torsion_number(p, e)
-    free_coordinates(p, e)
+    torsion_and_free_coordinates(p, e)
+
+
+def record_smith(monkeypatch):
+    """The list that every divclass reference to smith_normal_form appends its results to."""
+    original = exact_linalg.smith_normal_form
+    decompositions = []
+
+    def recording(A):
+        decompositions.append(original(A))
+        return decompositions[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name == "divclass" or name.startswith("divclass."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    return decompositions
 
 
 MATRIX = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
@@ -256,21 +288,17 @@ MATRIX = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     ids=["joinmeet", "cone-free", "cone-torsion", "every-reader", "solve_integer", "minor_gcd", "rank"],
 )
 def test_one_smith_elimination_per_report(monkeypatch, compute):
-    # count calls through every divclass reference to smith_normal_form
-    original = exact_linalg.smith_normal_form
-    calls = []
-
-    def counting(A):
-        calls.append(A)
-        return original(A)
-
-    for name, module in list(sys.modules.items()):
-        if name == "divclass" or name.startswith("divclass."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
+    decompositions = record_smith(monkeypatch)
     compute()
-    assert len(calls) == 1
+    assert len(decompositions) == 1
+
+
+def test_determinantal_closed_form_runs_no_elimination(monkeypatch):
+    decompositions = record_smith(monkeypatch)
+    for m in range(1, 8):
+        for n in range(m, 8):
+            determinantal_invariants(m, n)
+    assert decompositions == []
 
 
 def dense_cone(seed=5, r=12, dim=8, bound=100):
@@ -309,18 +337,7 @@ def test_only_solve_integer_builds_v(monkeypatch, compute, builds_v):
     # U, D and V are built on first read; every reader takes U v from the
     # logged row operations and D from the invariant factors, so only
     # solve_integer builds a transform, and that one is V.
-    original = exact_linalg.smith_normal_form
-    decompositions = []
-
-    def recording(A):
-        decompositions.append(original(A))
-        return decompositions[-1]
-
-    for name, module in list(sys.modules.items()):
-        if name == "divclass" or name.startswith("divclass."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, recording)
+    decompositions = record_smith(monkeypatch)
     compute()
     (snf,) = decompositions
     assert ("V" in vars(snf)) is builds_v
