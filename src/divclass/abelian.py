@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, as_integer
+from .errors import InputError, InternalInvariantError, as_integer, integer_vector
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -73,7 +73,7 @@ class ClassElement:
     coords: tuple
 
     def __init__(self, coords: Sequence[int]):
-        object.__setattr__(self, "coords", tuple(as_integer(c, "coordinate") for c in coords))
+        object.__setattr__(self, "coords", integer_vector(coords, "element", "coordinate"))
 
 
 def _check_element(p: AbelianPresentation, e: ClassElement):
@@ -200,7 +200,7 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     D y = U b and x = V y, where D is diagonal so each coordinate is a
     single exact-divisibility test.
     """
-    b = [as_integer(x, "right-hand side entry") for x in b]
+    b = integer_vector(b, "right-hand side")
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
     p = AbelianPresentation(A)

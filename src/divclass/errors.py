@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package, and its one integer guard."""
+"""Exception hierarchy shared by the whole package, and its input guards."""
 
 import operator
 
@@ -29,3 +29,17 @@ def as_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; a value that is not iterable is an ``InputError``."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def integer_vector(values, what: str, entry: str = "entry") -> tuple:
+    """``values`` as a tuple of ints: ``as_tuple`` on the vector, ``as_integer`` on each entry."""
+    label = f"{what} {entry}"
+    return tuple(as_integer(x, label) for x in as_tuple(values, what))

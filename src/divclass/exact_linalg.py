@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, as_integer
+from .errors import InputError, InternalInvariantError, as_integer, as_tuple, integer_vector
 
 
 def _dimension(value, what: str) -> int:
@@ -52,14 +52,18 @@ def _entry_rows(rows: Iterable[Iterable[tuple]], cols: int) -> tuple:
     Columns must be integers in range(cols) and entries integers.
     """
     out = []
-    for pairs in rows:
-        try:
-            row = {operator.index(j): operator.index(e) for j, e in pairs}
-        except TypeError:
-            raise InputError("matrix entries and their columns must be integers") from None
-        if not all(0 <= j < cols for j in row):
-            raise InputError(f"column index out of range for {cols} columns")
-        out.append({j: e for j, e in row.items() if e})
+    try:
+        for pairs in rows:
+            row = {}
+            for j, e in pairs:
+                j, e = operator.index(j), operator.index(e)
+                if not 0 <= j < cols:
+                    raise InputError(f"column index out of range for {cols} columns")
+                if e:
+                    row[j] = e
+            out.append(row)
+    except TypeError:
+        raise InputError("matrix entries and their columns must be integers") from None
     return tuple(out)
 
 
@@ -85,7 +89,7 @@ class IntMatrix:
 
     def __init__(self, rows: int, cols: int, entries: Iterable[int]):
         rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
-        data = list(entries)
+        data = as_tuple(entries, "matrix entries")
         if len(data) != rows * cols:
             raise InputError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
@@ -106,7 +110,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = [as_tuple(r, "matrix row") for r in as_tuple(rows, "matrix rows")]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -121,19 +125,25 @@ class IntMatrix:
     def from_sparse(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
         """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
         cols = _dimension(cols, "column count")
-        data = _entry_rows((row.items() for row in rows), cols)
+        try:
+            pairs = [row.items() for row in as_tuple(rows, "matrix rows")]
+        except AttributeError:
+            raise InputError("each sparse row must be a mapping from columns to entries") from None
+        data = _entry_rows(pairs, cols)
         return cls._of(len(data), cols, data)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, (int(i == j) for i in range(n) for j in range(n)))
+        n = _dimension(n, "size")
+        return cls._of(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
+        return cls._of(rows, cols, [{} for _ in range(rows)])
 
     def __getitem__(self, key: tuple) -> int:
-        i, j = key
+        i, j = as_tuple(key, "matrix index")
         i, j = as_integer(i, "row index"), as_integer(j, "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index {(i, j)} out of range for a {self.rows}x{self.cols} matrix")
@@ -178,11 +188,13 @@ class IntMatrix:
         return IntMatrix._of(self.rows, other.cols, product)
 
     def mul_vector(self, v: Sequence[int]) -> tuple:
+        v = integer_vector(v, "vector")
         if len(v) != self.cols:
             raise InputError(f"vector of length {len(v)} does not match {self.cols} columns")
         return tuple(sum(e * v[k] for k, e in row.items()) for row in self._rows)
 
     def append_column(self, col: Sequence[int]) -> "IntMatrix":
+        col = integer_vector(col, "column")
         if len(col) != self.rows:
             raise InputError(f"column of length {len(col)} does not match {self.rows} rows")
         n = self.cols
@@ -279,9 +291,9 @@ class SmithDecomposition:
 
     def U_mul_vector(self, v: Sequence[int]) -> tuple:
         """U v, by replaying the row operations and sign changes on a copy of ``v``."""
-        if len(v) != self.rows:
-            raise InputError(f"vector of length {len(v)} does not match {self.rows} rows")
-        x = list(v)
+        x = list(integer_vector(v, "vector"))
+        if len(x) != self.rows:
+            raise InputError(f"vector of length {len(x)} does not match {self.rows} rows")
         for kind, a, b, q in self.ops:
             if kind == "row":
                 if q:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, LimitExceededError, as_integer
+from .errors import InputError, InternalInvariantError, LimitExceededError, as_integer, as_tuple
 
 DEFAULT_CHAIN_LIMIT = 10**6
 
@@ -37,18 +37,12 @@ class Poset:
             out[i].append(j)
         return tuple(tuple(sorted(js)) for js in out)
 
-    @cached_property
-    def _down(self) -> tuple:
-        out = [[] for _ in range(self.n)]
-        for i, j in self.covers:
-            out[j].append(i)
-        return tuple(tuple(sorted(js)) for js in out)
-
     def up_covers(self, i: int) -> tuple:
         return self._up[i]
 
     def minimals(self) -> tuple:
-        return tuple(i for i in range(self.n) if not self._down[i])
+        uppers = {j for _, j in self.covers}
+        return tuple(i for i in range(self.n) if i not in uppers)
 
     def maximals(self) -> tuple:
         return tuple(i for i in range(self.n) if not self._up[i])
@@ -129,12 +123,12 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
     bitsets of the elements each element reaches (Aho, Garey and Ullman).
     Cycles, unknown names and relations that are not pairs are rejected.
     """
-    names = [str(x) for x in names]
+    names = [str(x) for x in as_tuple(names, "element names")]
     if len(set(names)) != len(names):
         raise InputError("element names must be distinct")
     index = {x: i for i, x in enumerate(names)}
     above = [set() for _ in names]
-    for pair in relations:
+    for pair in as_tuple(relations, "relations"):
         try:
             # a string would unpack character by character, so it never counts as a pair
             a, b = () if isinstance(pair, str) else pair

@@ -26,17 +26,8 @@ from .abelian import (
     structure,
     torsion_and_free_coordinates,
 )
-from .errors import InputError, as_integer
+from .errors import InputError, as_integer, as_tuple, integer_vector
 from .exact_linalg import IntMatrix
-
-
-def _integer_vector(values: Sequence[int], what: str) -> tuple:
-    """``values`` as a tuple of ints; a non-sequence or a non-integer entry is an ``InputError``."""
-    try:
-        entries = tuple(values)
-    except TypeError:
-        raise InputError(f"{what} must be a sequence of integers, got {values!r}") from None
-    return tuple(as_integer(x, f"{what} entry") for x in entries)
 
 
 def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -> tuple:
@@ -47,13 +38,13 @@ def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -
     vanishing on the interior point is rejected (it cuts no facet of a cone
     containing that point in its interior).
     """
-    v = _integer_vector(v, "form")
+    v = integer_vector(v, "form")
     if not any(v):
         raise InputError("the zero vector is not a support form")
     g = math.gcd(*(abs(x) for x in v))
     w = tuple(x // g for x in v)
     if interior is not None:
-        interior = _integer_vector(interior, "interior point")
+        interior = integer_vector(interior, "interior point")
         if len(interior) != len(w):
             raise InputError("interior point dimension does not match the form")
         value = sum(a * b for a, b in zip(w, interior))
@@ -80,7 +71,7 @@ class ConeDescription:
         dim = as_integer(dim, "cone dimension")
         if dim < 0:
             raise InputError("cone dimension must be nonnegative")
-        forms = tuple(_integer_vector(f, "form") for f in forms)
+        forms = tuple(integer_vector(f, "form") for f in as_tuple(forms, "forms"))
         for f in forms:
             if len(f) != dim:
                 raise InputError(f"form {f} does not have {dim} coordinates")
@@ -91,7 +82,7 @@ class ConeDescription:
         if len(set(forms)) != len(forms):
             raise InputError("a form is listed more than once; each facet is one prime class")
         if interior_point is not None:
-            interior_point = _integer_vector(interior_point, "interior point")
+            interior_point = integer_vector(interior_point, "interior point")
             if len(interior_point) != dim:
                 raise InputError("interior point dimension does not match the cone")
             for f in forms:

@@ -2,10 +2,10 @@
 
 The theorems the library rests on are checked as executable properties of
 seeded random posets, through the full join-meet pipeline.  Every check
-reads only the poset's structure, its size n and its covers, so each
-distinct structure is evaluated once per ``run_sweep`` call and its
-outcomes are recorded for every sample that has it, under the sample's
-own index and poset.  Any failure is a bug somewhere, never a property of
+reads only the poset's structure, its size n and its canonical covers, so
+each distinct structure is evaluated once per ``run_sweep`` call, keyed by
+``(n, covers)``, and its outcomes are recorded for every sample that has
+it, under the sample's own index and poset.  Any failure is a bug somewhere, never a property of
 the poset; offending posets are serialized so a failure can be replayed.
 """
 
@@ -25,8 +25,6 @@ CHECKS = (
     "pure_iff_gorenstein",  # torsion number 0 exactly for pure posets
     "chain_divisibility",  # d divides |a - b| for disjoint maximal chains
 )
-# the outcomes of every structure that passes, shared by all of them
-_ALL_PASS = tuple((check, True, "") for check in CHECKS)
 
 
 def random_poset(rng: random.Random, max_n: int) -> Poset:
@@ -131,32 +129,31 @@ def _evaluate(poset: Poset) -> tuple:
     if bad_gap is not None:
         failed["chain_divisibility"] = f"d={d} does not divide chain gap {bad_gap}"
 
-    if not failed:
-        return _ALL_PASS
     return tuple((check, check not in failed, failed.get(check, "")) for check in CHECKS)
 
 
 def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
     """Evaluate every property on ``count`` seeded random posets.
 
-    Each distinct structure ``(n, covers)`` is evaluated once per call, and
-    every sample records its structure's outcomes under its own index and poset.
+    Each distinct structure is evaluated once per call, keyed by
+    ``(poset.n, poset.covers)``: ``build_poset`` makes the covers a canonical
+    frozenset, so two samples share a key exactly when they share a
+    structure.  Every sample records its structure's outcomes under its own
+    index and poset.
     """
     count = as_integer(count, "sweep count")
     max_n = as_integer(max_n, "sweep max_n")
+    seed = as_integer(seed, "sweep seed")
     if count < 1:
         raise InputError("sweep count must be at least 1")
     if not 0 <= max_n <= 10:
         raise InputError("sweep max_n must be between 0 and 10")
     rng = random.Random(seed)
     summary = SweepSummary(count=count, max_n=max_n, seed=seed)
-    # keyed by n and the covers as a bitmask with bit i * n + j for cover
-    # (i, j); both indices are below n, so distinct cover sets differ
     outcomes_of = {}
     for index in range(count):
         poset = random_poset(rng, max_n)
-        n = poset.n
-        key = (n, sum(1 << (i * n + j) for i, j in poset.covers))
+        key = (poset.n, poset.covers)
         outcomes = outcomes_of.get(key)
         if outcomes is None:
             outcomes = outcomes_of[key] = _evaluate(poset)

@@ -8,7 +8,7 @@ draw the same examples.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divclass import InputError, IntMatrix
+from divclass import AbelianPresentation, InputError, IntMatrix
 
 from oracles import dense_product, det_cofactor
 
@@ -156,3 +156,24 @@ def test_row_and_column_indices_must_be_integers(index):
     for read in (M.row, M.column, lambda k: M[k, 0], lambda k: M[0, k]):
         with pytest.raises(InputError, match="index must be an integer"):
             read(index)
+
+
+@pytest.mark.parametrize(
+    "read, vector",
+    [
+        ("mul_vector", [1.5, 0]),
+        ("mul_vector", [0, "1"]),
+        ("mul_vector", 5),
+        ("U_mul_vector", [1.5, 0]),
+        ("U_mul_vector", [0, "1"]),
+        ("U_mul_vector", 5),
+        ("append_column", 5),
+    ],
+    ids=repr,
+)
+def test_vector_readers_take_integer_vectors(read, vector):
+    # mul_vector and U_mul_vector returned (1.5, 4.5) for [1.5, 0]
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    reader = AbelianPresentation(M).smith if read == "U_mul_vector" else M
+    with pytest.raises(InputError, match="must be"):
+        getattr(reader, read)(vector)

@@ -258,26 +258,30 @@ def test_tree_independence_of_torsion_number():
         assert all(c in (-1, 0, 1) for row in table for c in row)
 
 
+def label_free_facts(report):
+    return (
+        report.group,
+        report.torsion_number,
+        report.pure,
+        report.gorenstein,
+        report.num_height_one_primes,
+        math.gcd(*report.canonical_in_basis),
+    )
+
+
 def test_label_permutation_invariance():
-    rng = random.Random(60)
-    for _ in range(40):
-        p = random_poset(rng, 7)
-        rep = joinmeet_report(p)
-        names = list(p.labels)
-        shuffled = names.copy()
-        rng.shuffle(shuffled)
-        rename = dict(zip(names, shuffled))
-        q = build_poset(
-            sorted(shuffled),
-            [(rename[a], rename[b]) for a, b in p.cover_label_pairs()],
-        )
-        other = joinmeet_report(q)
-        assert (rep.group, rep.torsion_number, rep.pure, rep.gorenstein) == (
-            other.group,
-            other.torsion_number,
-            other.pure,
-            other.gorenstein,
-        )
+    # a poset report reads the structure alone: renaming the elements and
+    # shuffling the element and relation order rebuilds the same report
+    draws, shuffles = random.Random(11), random.Random(12)
+    for _ in range(1000):
+        p = random_poset(draws, 10)
+        fresh = [f"v{k}" for k in range(p.n)]
+        shuffles.shuffle(fresh)
+        rename = dict(zip(p.labels, fresh))
+        relations = [(rename[a], rename[b]) for a, b in p.cover_label_pairs()]
+        shuffles.shuffle(relations)
+        q = build_poset(shuffles.sample(fresh, p.n), relations)
+        assert label_free_facts(joinmeet_report(q)) == label_free_facts(joinmeet_report(p)), p
 
 
 def test_cross_method_torsion_on_randoms():

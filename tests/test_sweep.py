@@ -120,3 +120,10 @@ def test_run_sweep_arguments_must_be_integers(count, max_n):
     with pytest.raises(InputError, match="must be an integer"):
         run_sweep(count, max_n, 1)
 
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5])
+def test_run_sweep_seed_must_be_an_integer(seed):
+    # the summary used to echo a seed that is not an integer
+    with pytest.raises(InputError, match="sweep seed must be an integer"):
+        run_sweep(3, 3, seed)
