@@ -21,7 +21,6 @@ from divclass import (
     quotient_by,
     relation_matrix,
     structure,
-    support_forms,
     verify_column_relations,
 )
 
@@ -40,8 +39,7 @@ print("\nHasse edges of the bounded extension:")
 for u, v in extension.edges:
     print(f"  {extension.vertex_name(u)} -> {extension.vertex_name(v)}")
 
-forms = support_forms(extension)
-matrix = relation_matrix(forms)
+matrix = relation_matrix(extension)
 print("\nrelation matrix (rows = edges, columns = z_0..z_n):")
 print(matrix.pretty())
 
@@ -80,7 +78,7 @@ for (x, y), cycle in zip(tree.nontree_edges, expr.cycles):
         print(f"    {sign:+d} [{extension.vertex_name(u)} -> {extension.vertex_name(w)}]")
 print("canonical class over the basis:", expr.canonical_coords)
 print("expressions satisfy every defining relation?",
-      verify_column_relations(forms, tree, expr))
+      verify_column_relations(extension, tree, expr))
 
 # The two routes must agree, and joinmeet_report has already cross-checked
 # them: it raises on any mismatch.

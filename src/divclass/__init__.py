@@ -37,21 +37,17 @@ from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 from .joinmeet import (
     ClassExpression,
     SpanningTree,
-    SupportForm,
     choose_tree,
     class_expressions,
     joinmeet_report,
     relation_matrix,
-    support_forms,
     verify_column_relations,
 )
 from .poset import (
     BoundedPoset,
-    ChainPair,
     Poset,
     bound,
     build_poset,
-    disjoint_maximal_chain_pair,
     is_pure,
     maximal_chains,
     two_chains_poset,
@@ -70,7 +66,6 @@ from .sweep import run_sweep
 __all__ = [
     "AbelianPresentation",
     "BoundedPoset",
-    "ChainPair",
     "ClassElement",
     "ClassExpression",
     "ClassGroupReport",
@@ -84,14 +79,12 @@ __all__ = [
     "Poset",
     "SmithDecomposition",
     "SpanningTree",
-    "SupportForm",
     "bound",
     "build_poset",
     "choose_tree",
     "class_expressions",
     "cone_report",
     "determinantal_invariants",
-    "disjoint_maximal_chain_pair",
     "fitting_number",
     "is_pure",
     "is_zero_class",
@@ -107,7 +100,6 @@ __all__ = [
     "smith_normal_form",
     "solve_integer",
     "structure",
-    "support_forms",
     "torsion_number",
     "two_chains_poset",
     "veronese_cone",

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the whole package, and its input guards."""
 
 import operator
+from collections.abc import Mapping, Set
 
 
 class DivclassError(Exception):
@@ -32,11 +33,17 @@ def as_integer(value, what: str) -> int:
 
 
 def as_tuple(value, what: str) -> tuple:
-    """``value`` as a tuple; a value that is not iterable is an ``InputError``."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise InputError(f"{what} must be a sequence, got {value!r}") from None
+    """``value`` as a tuple; anything but an ordered container is an ``InputError``.
+
+    A string, bytes, mapping or set iterates as characters, keys or in hash
+    order, never as the entries it seems to hold, so each is refused.
+    """
+    if not isinstance(value, (str, bytes, Mapping, Set)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be a sequence, got {value!r}")
 
 
 def integer_vector(values, what: str, entry: str = "entry") -> tuple:

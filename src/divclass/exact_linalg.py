@@ -143,8 +143,10 @@ class IntMatrix:
         return cls._of(rows, cols, [{} for _ in range(rows)])
 
     def __getitem__(self, key: tuple) -> int:
-        i, j = as_tuple(key, "matrix index")
-        i, j = as_integer(i, "row index"), as_integer(j, "column index")
+        pair = as_tuple(key, "matrix index")
+        if len(pair) != 2:
+            raise InputError(f"matrix index must be a (row, column) pair, got {key!r}")
+        i, j = as_integer(pair[0], "row index"), as_integer(pair[1], "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise InputError(f"index {(i, j)} out of range for a {self.rows}x{self.cols} matrix")
         return self._rows[i].get(j, 0)

@@ -11,7 +11,8 @@ form
 
 and the class group is generated by the corresponding height-one prime
 classes [P_e] subject to the coefficient columns of those forms.  It is
-always free of rank |E| - (n + 1).
+always free of rank |E| - (n + 1).  ``relation_matrix`` holds each form
+once, as the row of its edge in the order of ``bound``.
 
 A spanning tree of the Hasse diagram assigning one upward edge to each
 vertex below the top makes the tree rows of the relation matrix upper
@@ -33,27 +34,6 @@ from .errors import InternalInvariantError
 from .exact_linalg import IntMatrix
 from .poset import BoundedPoset, Poset, bound
 from .semigroup import ClassGroupReport
-
-
-@dataclass(frozen=True)
-class SupportForm:
-    """One facet form over (z_0, ..., z_n), with its edge.
-
-    ``terms`` holds its nonzero coefficients as ``(index, coeff)`` pairs, at
-    most two; ``width`` is n + 1, the length of the dense ``coeffs``.
-    """
-
-    terms: tuple
-    width: int
-    source_edge: tuple
-
-    @property
-    def coeffs(self) -> tuple:
-        """The dense coefficient tuple over (z_0, ..., z_n)."""
-        coeffs = [0] * self.width
-        for c, a in self.terms:
-            coeffs[c] = a
-        return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -83,20 +63,15 @@ class ClassExpression:
     canonical_coords: tuple
 
 
-def support_forms(extension: BoundedPoset) -> tuple:
-    """One support form per Hasse edge, in the enumeration order of ``bound``."""
-    width = extension.base.n + 1
+def _relation_rows(extension: BoundedPoset) -> list:
+    """The ``{column: coefficient}`` row of each Hasse edge, in the order of ``bound``."""
     top = extension.top
-    forms = []
-    for u, v in extension.edges:
-        terms = ((u, 1),) if v == top else ((u, 1), (v, -1))
-        forms.append(SupportForm(terms, width, (u, v)))
-    return tuple(forms)
+    return [{u: 1} if v == top else {u: 1, v: -1} for u, v in extension.edges]
 
 
-def relation_matrix(forms) -> IntMatrix:
-    """Relation matrix of the class group: one row per edge, columns z_0..z_n."""
-    return IntMatrix.from_sparse([dict(f.terms) for f in forms], cols=forms[0].width if forms else 0)
+def relation_matrix(extension: BoundedPoset) -> IntMatrix:
+    """Relation matrix of the class group: one row per Hasse edge, columns z_0..z_n."""
+    return IntMatrix.from_sparse(_relation_rows(extension), cols=extension.top)
 
 
 def choose_tree(extension: BoundedPoset) -> SpanningTree:
@@ -160,11 +135,13 @@ def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpre
     return ClassExpression(tuple(cycles), canonical)
 
 
-def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) -> bool:
+def verify_column_relations(
+    extension: BoundedPoset, tree: SpanningTree, expr: ClassExpression
+) -> bool:
     """Substitute the tree-class expressions into every defining relation.
 
-    ``forms`` are ``support_forms`` of the extension the tree spans.  Each
-    coordinate column of the relation matrix says a certain integer
+    ``tree`` spans ``extension``, whose relation rows are read edge by edge.
+    Each coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
     Over class j that sums the (at most two) nonzeros of the row of e_j and
@@ -172,12 +149,12 @@ def verify_column_relations(forms, tree: SpanningTree, expr: ClassExpression) ->
     """
     if len(expr.cycles) != len(tree.nontree_edges):
         return False
-    rows = {f.source_edge: f.terms for f in forms}
+    rows = dict(zip(extension.edges, _relation_rows(extension)))
     tree_rows = [rows[e] for e in tree.tree_edges]
     for edge, cycle in zip(tree.nontree_edges, expr.cycles):
         total = dict(rows[edge])
         for v, sign in cycle:
-            for c, a in tree_rows[v]:
+            for c, a in tree_rows[v].items():
                 total[c] = total.get(c, 0) + sign * a
         if any(total.values()):
             return False
@@ -194,9 +171,8 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     theorem.
     """
     extension = bound(poset)
-    forms = support_forms(extension)
-    matrix = relation_matrix(forms)
-    r = len(forms)
+    matrix = relation_matrix(extension)
+    r = matrix.rows
     n = poset.n
     presentation = AbelianPresentation(matrix)
     group = structure(presentation)
@@ -209,7 +185,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     expr = class_expressions(extension, tree)
     if any(len({v for v, _ in cycle}) != len(cycle) for cycle in expr.cycles):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
-    if not verify_column_relations(forms, tree, expr):
+    if not verify_column_relations(extension, tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
     canonical = ClassElement((1,) * r)
     d_tree = math.gcd(*expr.canonical_coords)

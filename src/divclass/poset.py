@@ -12,7 +12,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, InternalInvariantError, LimitExceededError, as_integer, as_tuple
 
@@ -99,21 +99,8 @@ class BoundedPoset:
         return True
 
 
-@dataclass(frozen=True)
-class ChainPair:
-    """Two element-disjoint maximal chains, stored as label tuples."""
-
-    first: tuple
-    second: tuple
-
-    @property
-    def lengths(self) -> tuple:
-        # chain length counts cover steps, one less than the element count
-        return (len(self.first) - 1, len(self.second) - 1)
-
-
 def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Poset:
-    """Canonical poset from element names and any set of strict relations.
+    """Canonical poset from a sequence of element names and one of strict relations.
 
     The relations may include comparisons implied by others.  The elements
     are renumbered by the lexicographically smallest linear extension over
@@ -130,9 +117,8 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
     above = [set() for _ in names]
     for pair in as_tuple(relations, "relations"):
         try:
-            # a string would unpack character by character, so it never counts as a pair
-            a, b = () if isinstance(pair, str) else pair
-        except (TypeError, ValueError):
+            a, b = as_tuple(pair, "relation")
+        except (InputError, ValueError):
             raise InputError(f"relation {pair!r} is not a pair of element names") from None
         a, b = str(a), str(b)
         for x in (a, b):
@@ -214,15 +200,6 @@ def disjoint_chain_pairs(chains: Sequence[tuple]) -> Iterator[tuple]:
         for second in chains[a + 1 :]:
             if members.isdisjoint(second):
                 yield first, second
-
-
-def disjoint_maximal_chain_pair(poset: Poset) -> Optional[ChainPair]:
-    """First element-disjoint pair of maximal chains, if any exists."""
-    pair = next(disjoint_chain_pairs(maximal_chains(poset)), None)
-    if pair is None:
-        return None
-    first, second = (tuple(poset.labels[i] for i in chain) for chain in pair)
-    return ChainPair(first=first, second=second)
 
 
 def two_chains_poset(a: int, b: int) -> Poset:

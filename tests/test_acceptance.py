@@ -26,7 +26,6 @@ from divclass import (
     relation_matrix,
     segre_veronese_cone,
     smith_normal_form,
-    support_forms,
     torsion_number,
     two_chains_poset,
     veronese_cone,
@@ -138,12 +137,11 @@ def poset_sweep():
     for index in range(SWEEP_COUNT):
         poset = random_poset(rng, SWEEP_MAX_N)
         extension = bound(poset)
-        forms = support_forms(extension)
-        matrix = relation_matrix(forms)
+        matrix = relation_matrix(extension)
         snf = smith_normal_form(matrix)
         tree = choose_tree(extension)
         expr = class_expressions(extension, tree)
-        column_relations_ok = verify_column_relations(forms, tree, expr)
+        column_relations_ok = verify_column_relations(extension, tree, expr)
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
         presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))

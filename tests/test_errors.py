@@ -8,6 +8,7 @@ from divclass import (
     InputError,
     IntMatrix,
     build_poset,
+    normalize_form,
     solve_integer,
 )
 
@@ -30,6 +31,15 @@ M = IntMatrix.from_rows([[1, 2], [3, 4]])
         lambda: solve_integer(M, 5),
         lambda: build_poset(5),
         lambda: build_poset(["a"], 5),
+        lambda: IntMatrix.from_sparse([{0: 1}], 2).mul_vector({0: 1, 1: 2}),
+        lambda: ConeDescription(2, [{1: 0, 0: 1}, (1, 1)]),
+        lambda: M.mul_vector({2, 1}),
+        lambda: IntMatrix(1, 2, {5, 1}),
+        lambda: normalize_form({3, 6}),
+        lambda: build_poset("abc"),
+        lambda: IntMatrix.from_rows([b"\x01\x02"]),
+        lambda: M[(0,)],
+        lambda: M[0, 1, 2],
     ],
     ids=[
         "cone-forms",
@@ -45,10 +55,21 @@ M = IntMatrix.from_rows([[1, 2], [3, 4]])
         "right-hand-side",
         "names",
         "relations",
+        "vector-as-mapping",
+        "cone-form-as-mapping",
+        "vector-as-set",
+        "entries-as-set",
+        "form-as-set",
+        "names-as-string",
+        "row-as-bytes",
+        "index-too-short",
+        "index-too-long",
     ],
 )
 def test_malformed_containers_are_input_errors(build):
-    # each raised a bare TypeError or AttributeError from inside the library
+    # each raised a bare TypeError, AttributeError or ValueError from inside
+    # the library, or read a mapping as its keys, a set in hash order or a
+    # string character by character and answered silently
     with pytest.raises(InputError):
         build()
 

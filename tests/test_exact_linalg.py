@@ -14,7 +14,6 @@ from divclass import (
     relation_matrix,
     smith_normal_form,
     solve_integer,
-    support_forms,
 )
 from divclass import InternalInvariantError, exact_linalg
 from divclass.sweep import random_poset
@@ -148,9 +147,9 @@ def test_solve_parity_obstruction():
 def test_solve_two_chains_all_ones():
     # purity of the (2, 2)-chain poset forces the canonical class to vanish,
     # so the all-ones vector must lie in the column span; verify by multiplying
-    from divclass import bound, relation_matrix, support_forms, two_chains_poset
+    from divclass import two_chains_poset
 
-    A = relation_matrix(support_forms(bound(two_chains_poset(2, 2))))
+    A = relation_matrix(bound(two_chains_poset(2, 2)))
     b = [1] * A.rows
     x = solve_integer(A, b)
     assert x is not None
@@ -236,7 +235,7 @@ def pinned_corpus():
         m, n = rng.randint(12, 24), rng.randint(10, 18)
         yield IntMatrix.from_rows([[rng.randint(-(10**3), 10**3) for _ in range(n)] for _ in range(m)])
     for _ in range(200):
-        yield relation_matrix(support_forms(bound(random_poset(rng, 10))))
+        yield relation_matrix(bound(random_poset(rng, 10)))
 
 
 def test_smith_decompositions_pinned():
@@ -272,7 +271,7 @@ def test_sparse_check_rejects_every_single_entry_change():
     # verdict be.
     rng = random.Random(8)
     matrices = [random_matrix(rng)[0] for _ in range(200)]
-    matrices += [relation_matrix(support_forms(bound(random_poset(rng, 10)))) for _ in range(50)]
+    matrices += [relation_matrix(bound(random_poset(rng, 10))) for _ in range(50)]
     rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
@@ -370,7 +369,7 @@ def test_product_check_rejects_every_corrupted_column_log(monkeypatch):
         A, _ = random_matrix(rng)
         if A.cols and smith_normal_form(A).rank == A.cols:
             matrices.append(A)
-    matrices += [relation_matrix(support_forms(bound(random_poset(rng, 8)))) for _ in range(10)]
+    matrices += [relation_matrix(bound(random_poset(rng, 8))) for _ in range(10)]
     rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
@@ -419,7 +418,7 @@ def test_smith_decompositions_pinned_at_scale():
             posets.append(p)
     digest = hashlib.sha256()
     for p in posets:
-        snf = smith_normal_form(relation_matrix(support_forms(bound(p))))
+        snf = smith_normal_form(relation_matrix(bound(p)))
         digest.update(repr((snf.U, snf.D, snf.V)).encode())
     assert digest.hexdigest() == "f52a77573ceabd87a2e21b537ad81e7f2a69f4000888fc86bd608920a6c16040"
 
@@ -433,7 +432,7 @@ def matches_dense_elimination(A):
 def test_sparse_store_matches_dense_elimination_on_posets():
     rng = random.Random(20261020)
     for _ in range(2000):
-        matches_dense_elimination(relation_matrix(support_forms(bound(random_poset(rng, 10)))))
+        matches_dense_elimination(relation_matrix(bound(random_poset(rng, 10))))
 
 
 def test_sparse_store_matches_dense_elimination_on_small_matrices():
@@ -465,7 +464,7 @@ def test_sparse_store_matches_dense_elimination_on_dense_matrices():
 
 def test_sparse_store_matches_dense_elimination_on_layered_posets():
     for n in (40, 80, 160, 320):
-        matches_dense_elimination(relation_matrix(support_forms(bound(layered_poset(n)))))
+        matches_dense_elimination(relation_matrix(bound(layered_poset(n))))
 
 
 def test_sparse_products_match_dense_transforms():
@@ -507,6 +506,17 @@ def test_lazy_v_matches_dense_elimination(A):
     assert "V" not in vars(snf)
     assert snf.V == dense_smith_normal_form(A)[2]
     assert snf.U @ A @ snf.V == snf.D
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_matrices())
+def test_minor_gcds_match_brute_force_at_large_entries(A):
+    # the random suites above draw |e| <= 9; here entries reach 2^40
+    factors = smith_normal_form(A).invariant_factors
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    rows = A.to_lists()
+    for k in range(min(A.rows, A.cols) + 1):
+        assert minor_gcd(A, k) == brute_minor_gcd(rows, k)
 
 
 def test_matrix_validation():

@@ -20,7 +20,6 @@ from divclass import (
     joinmeet_report,
     maximal_chains,
     relation_matrix,
-    support_forms,
     torsion_number,
     two_chains_poset,
     verify_column_relations,
@@ -35,33 +34,21 @@ def antichain2():
     return build_poset(["x1", "x2"])
 
 
-def test_support_forms_antichain():
-    forms = support_forms(bound(antichain2()))
-    assert [f.coeffs for f in forms] == [(1, -1, 0), (1, 0, -1), (0, 1, 0), (0, 0, 1)]
-    assert [f.source_edge for f in forms] == [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-
-def test_support_forms_single_chain():
-    forms = support_forms(bound(build_poset(["x1", "x2"], [("x1", "x2")])))
-    # internal cover first, then the bottom edge, then the top edge
-    assert [f.source_edge for f in forms] == [(1, 2), (0, 1), (2, 3)]
-    assert [f.coeffs for f in forms] == [(0, 1, -1), (1, -1, 0), (0, 0, 1)]
-
-
-def test_support_forms_empty_poset():
-    forms = support_forms(bound(build_poset([])))
-    assert [f.coeffs for f in forms] == [(1,)]
-    assert forms[0].source_edge == (0, 1)
-
-
 def test_relation_matrix_examples():
-    assert relation_matrix(support_forms(bound(antichain2()))) == IntMatrix.from_rows(
+    # one row per Hasse edge in the order of bound, columns z_0..z_n
+    antichain = bound(antichain2())
+    assert antichain.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert relation_matrix(antichain) == IntMatrix.from_rows(
         [[1, -1, 0], [1, 0, -1], [0, 1, 0], [0, 0, 1]]
     )
-    assert relation_matrix(support_forms(bound(build_poset(["x1"])))) == IntMatrix.from_rows(
-        [[1, -1], [0, 1]]
-    )
-    assert relation_matrix(support_forms(bound(build_poset([])))) == IntMatrix.from_rows([[1]])
+    chain = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
+    # internal cover first, then the bottom edge, then the top edge
+    assert chain.edges == ((1, 2), (0, 1), (2, 3))
+    assert relation_matrix(chain).to_lists() == [[0, 1, -1], [1, -1, 0], [0, 0, 1]]
+    assert relation_matrix(bound(build_poset(["x1"]))) == IntMatrix.from_rows([[1, -1], [0, 1]])
+    empty = bound(build_poset([]))
+    assert empty.edges == ((0, 1),)
+    assert relation_matrix(empty).to_lists() == [[1]]
 
 
 def test_choose_tree_chain():
@@ -89,7 +76,7 @@ def test_tree_rows_upper_triangular():
         p = random_poset(rng, 7)
         extension = bound(p)
         tree = choose_tree(extension)
-        coeffs = {f.source_edge: f.coeffs for f in support_forms(extension)}
+        coeffs = dict(zip(extension.edges, relation_matrix(extension).to_lists()))
         for v, edge in enumerate(tree.tree_edges):
             row = coeffs[edge]
             assert row[v] == 1
@@ -124,7 +111,7 @@ def test_verify_column_relations():
         extension = bound(poset)
         tree = choose_tree(extension)
         expr = class_expressions(extension, tree)
-        assert verify_column_relations(support_forms(extension), tree, expr)
+        assert verify_column_relations(extension, tree, expr)
 
 
 def test_verify_rejects_corrupted_expression():
@@ -133,10 +120,9 @@ def test_verify_rejects_corrupted_expression():
     extension = bound(antichain2())
     tree = choose_tree(extension)
     expr = class_expressions(extension, tree)
-    forms = support_forms(extension)
     for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
         corrupted = ClassExpression((cycle,), expr.canonical_coords)
-        assert not verify_column_relations(forms, tree, corrupted)
+        assert not verify_column_relations(extension, tree, corrupted)
 
 
 def densify(cycles, rows):
@@ -155,14 +141,13 @@ def test_sparse_cycles_match_dense_oracle():
     mutated = 0
     for p in posets:
         extension = bound(p)
-        forms = support_forms(extension)
         tree = choose_tree(extension)
         expr = class_expressions(extension, tree)
         coeffs, canonical = dense_class_expressions(extension, tree)
         assert densify(expr.cycles, len(tree.tree_edges)) == coeffs
         assert expr.canonical_coords == canonical
         assert all(len({v for v, _ in cycle}) == len(cycle) for cycle in expr.cycles)
-        assert verify_column_relations(forms, tree, expr)
+        assert verify_column_relations(extension, tree, expr)
         if not expr.cycles:
             continue
         # every single dropped vertex or flipped sign in one cycle breaks a relation
@@ -172,7 +157,7 @@ def test_sparse_cycles_match_dense_oracle():
             for changed in (cycle[:k] + cycle[k + 1 :], cycle[:k] + ((v, -sign),) + cycle[k + 1 :]):
                 cycles = expr.cycles[:j] + (changed,) + expr.cycles[j + 1 :]
                 corrupted = joinmeet.ClassExpression(cycles, expr.canonical_coords)
-                assert not verify_column_relations(forms, tree, corrupted)
+                assert not verify_column_relations(extension, tree, corrupted)
                 mutated += 1
     assert mutated > 2000
 
@@ -249,7 +234,7 @@ def test_tree_independence_of_torsion_number():
         default = class_expressions(extension, choose_tree(extension))
         alt_tree = alternate_tree(extension)
         alt = class_expressions(extension, alt_tree)
-        assert verify_column_relations(support_forms(extension), alt_tree, alt)
+        assert verify_column_relations(extension, alt_tree, alt)
         d_default = math.gcd(*(abs(c) for c in default.canonical_coords))
         d_alt = math.gcd(*(abs(c) for c in alt.canonical_coords))
         assert d_default == d_alt
@@ -289,7 +274,7 @@ def test_cross_method_torsion_on_randoms():
     for _ in range(60):
         p = random_poset(rng, 7)
         extension = bound(p)
-        matrix = relation_matrix(support_forms(extension))
+        matrix = relation_matrix(extension)
         expr = class_expressions(extension, choose_tree(extension))
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
         presentation = AbelianPresentation(matrix)
@@ -310,7 +295,7 @@ def test_cone_mode_agrees_with_poset_mode():
     rng = random.Random(80)
     for _ in range(300):
         p = random_poset(rng, 7)
-        coeffs = [f.coeffs for f in support_forms(bound(p))]
+        coeffs = relation_matrix(bound(p)).to_lists()
         rep = joinmeet_report(p)
         cone = cone_report(ConeDescription(p.n + 1, coeffs))
         assert (cone.group, cone.torsion_number, cone.gorenstein, cone.num_height_one_primes) == (
@@ -341,7 +326,7 @@ def test_torsion_number_is_the_chain_length_gcd():
         assert joinmeet_report(p).torsion_number == chain_length_gcd(p), p
 
 
-STEPS = ("bound", "support_forms", "choose_tree", "class_expressions")
+STEPS = ("bound", "relation_matrix", "choose_tree", "class_expressions")
 
 
 @pytest.fixture
@@ -351,7 +336,7 @@ def calls(monkeypatch):
     for home, name in (
         (poset, "build_poset"),
         (poset, "bound"),
-        (joinmeet, "support_forms"),
+        (joinmeet, "relation_matrix"),
         (joinmeet, "choose_tree"),
         (joinmeet, "class_expressions"),
     ):

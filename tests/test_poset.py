@@ -7,11 +7,11 @@ from divclass import (
     LimitExceededError,
     bound,
     build_poset,
-    disjoint_maximal_chain_pair,
     is_pure,
     maximal_chains,
     two_chains_poset,
 )
+from divclass.poset import disjoint_chain_pairs
 from divclass.sweep import random_poset
 
 from oracles import (
@@ -42,10 +42,13 @@ def test_cycle_rejected():
 
 
 @pytest.mark.parametrize(
-    "relation", ["ba", "ab", ("a", "b", "a"), ("a",), (), 7, None], ids=repr
+    "relation",
+    ["ba", "ab", ("a", "b", "a"), ("a",), (), 7, None, {"a", "b"}, {"a": 1, "b": 2}],
+    ids=["'ba'", "'ab'", "('a', 'b', 'a')", "('a',)", "()", "7", "None", "set", "mapping"],
 )
 def test_relation_that_is_not_a_pair_rejected(relation):
-    # a two-character string would otherwise unpack into a pair of names
+    # a two-character string would otherwise unpack into a pair of names, a
+    # set in hash order and a mapping into its keys
     with pytest.raises(InputError, match="not a pair"):
         build_poset(["a", "b"], [relation])
 
@@ -167,20 +170,24 @@ def test_maximal_chains_two_chains():
     assert sorted(len(c) for c in chains) == [3, 6]
 
 
-def test_disjoint_pair_examples():
-    assert disjoint_maximal_chain_pair(build_poset(["a", "b"], [("a", "b")])) is None
+def disjoint_pairs(p):
+    return list(disjoint_chain_pairs(maximal_chains(p)))
 
-    pair = disjoint_maximal_chain_pair(two_chains_poset(5, 2))
-    assert pair is not None
-    assert pair.lengths == (5, 2)
-    assert set(pair.first).isdisjoint(pair.second)
+
+def test_disjoint_pair_examples():
+    assert disjoint_pairs(build_poset(["a", "b"], [("a", "b")])) == []
+
+    [(first, second)] = disjoint_pairs(two_chains_poset(5, 2))
+    # chain length counts cover steps, one less than the element count
+    assert (len(first) - 1, len(second) - 1) == (5, 2)
+    assert set(first).isdisjoint(second)
 
     diamond = build_poset(["x", "y", "z", "w"], [("x", "y"), ("x", "z"), ("y", "w"), ("z", "w")])
-    assert disjoint_maximal_chain_pair(diamond) is None
+    assert disjoint_pairs(diamond) == []
 
 
 def test_disjoint_pair_empty_poset():
-    assert disjoint_maximal_chain_pair(build_poset([])) is None
+    assert disjoint_pairs(build_poset([])) == []
 
 
 def test_chain_limit():
@@ -216,7 +223,8 @@ def test_long_chain_needs_no_recursion():
     # one frame per chain element would pass the interpreter's recursion limit
     p = two_chains_poset(1500, 1)
     assert [len(c) for c in maximal_chains(p)] == [1501, 2]
-    assert disjoint_maximal_chain_pair(p).lengths == (1500, 1)
+    [(first, second)] = disjoint_pairs(p)
+    assert (len(first) - 1, len(second) - 1) == (1500, 1)
 
 
 def test_two_chains_builder():

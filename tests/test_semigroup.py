@@ -20,10 +20,10 @@ from divclass import (
     minor_gcd,
     normalize_form,
     rank,
+    relation_matrix,
     segre_veronese_cone,
     solve_integer,
     structure,
-    support_forms,
     torsion_number,
     two_chains_poset,
     veronese_cone,
@@ -217,7 +217,7 @@ def test_cone_mode_matches_poset_mode():
     for _ in range(40):
         p = random_poset(rng, 6)
         poset_rep = joinmeet_report(p)
-        forms = [f.coeffs for f in support_forms(bound(p))]
+        forms = relation_matrix(bound(p)).to_lists()
         cone_rep = cone_report(ConeDescription(p.n + 1, forms))
         assert cone_rep.group == poset_rep.group
         assert cone_rep.torsion_number == poset_rep.torsion_number
