@@ -34,21 +34,32 @@ def antichain2():
     return build_poset(["x1", "x2"])
 
 
+def test_support_forms_antichain():
+    # one support-form row per Hasse edge in the order of bound, columns z_0..z_n
+    extension = bound(antichain2())
+    assert relation_matrix(extension).to_lists() == [[1, -1, 0], [1, 0, -1], [0, 1, 0], [0, 0, 1]]
+    assert extension.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def test_support_forms_single_chain():
+    extension = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
+    # internal cover first, then the bottom edge, then the top edge
+    assert extension.edges == ((1, 2), (0, 1), (2, 3))
+    assert relation_matrix(extension).to_lists() == [[0, 1, -1], [1, -1, 0], [0, 0, 1]]
+
+
+def test_support_forms_empty_poset():
+    extension = bound(build_poset([]))
+    assert relation_matrix(extension).to_lists() == [[1]]
+    assert extension.edges == ((0, 1),)
+
+
 def test_relation_matrix_examples():
-    # one row per Hasse edge in the order of bound, columns z_0..z_n
-    antichain = bound(antichain2())
-    assert antichain.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
-    assert relation_matrix(antichain) == IntMatrix.from_rows(
+    assert relation_matrix(bound(antichain2())) == IntMatrix.from_rows(
         [[1, -1, 0], [1, 0, -1], [0, 1, 0], [0, 0, 1]]
     )
-    chain = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
-    # internal cover first, then the bottom edge, then the top edge
-    assert chain.edges == ((1, 2), (0, 1), (2, 3))
-    assert relation_matrix(chain).to_lists() == [[0, 1, -1], [1, -1, 0], [0, 0, 1]]
     assert relation_matrix(bound(build_poset(["x1"]))) == IntMatrix.from_rows([[1, -1], [0, 1]])
-    empty = bound(build_poset([]))
-    assert empty.edges == ((0, 1),)
-    assert relation_matrix(empty).to_lists() == [[1]]
+    assert relation_matrix(bound(build_poset([]))) == IntMatrix.from_rows([[1]])
 
 
 def test_choose_tree_chain():
