@@ -47,7 +47,10 @@ def _as_int(value, what: str) -> int:
         try:
             return int(value)
         except ValueError:  # more digits than the interpreter converts
-            pass
+            raise InputError(
+                f"{what} is a decimal string of {len(value.lstrip('-'))} digits, "
+                f"past the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
     raise InputError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 

@@ -166,9 +166,10 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
 
     The torsion number is computed twice, once from the fundamental-cycle
     coordinates of the canonical class and once from Fitting ideals of the
-    relation matrix, and the two must agree; so must the freeness and
-    rank of the class group.  Any mismatch raises, since each one is a
-    theorem.
+    relation matrix, and the two must agree.  The class group must be free
+    of rank |E| - (n + 1) and every cycle coefficient -1, 0 or 1: the
+    sweep's ``rank_formula`` and ``cycle_coefficients``, checked only here.
+    Any mismatch raises, since each one is a theorem.
     """
     extension = bound(poset)
     matrix = relation_matrix(extension)
@@ -200,5 +201,4 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
         canonical_in_basis=expr.canonical_coords,
         torsion_number=d_matrix,
         pure=extension.is_graded(),
-        cycles=expr.cycles,
     )

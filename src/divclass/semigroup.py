@@ -103,10 +103,8 @@ class ClassGroupReport:
     classes.  ``canonical_in_basis`` is its coordinate vector over a free
     basis when the class group is free (None otherwise); its coordinate gcd
     equals the torsion number.  ``num_height_one_primes`` is None for a
-    closed form that does not list the primes.  Set only in poset mode:
-    ``pure``, whether all maximal chains have the same cardinality, and
-    ``cycles``, the fundamental cycles that give the tree classes in the
-    nontree basis of ``canonical_in_basis`` (``ClassExpression.cycles``).
+    closed form that does not list the primes.  ``pure``, set only in poset
+    mode, is whether all maximal chains have the same cardinality.
     """
 
     num_height_one_primes: Optional[int]
@@ -114,7 +112,6 @@ class ClassGroupReport:
     canonical_in_basis: Optional[tuple]
     torsion_number: int
     pure: Optional[bool] = None
-    cycles: Optional[tuple] = None
 
     @property
     def gorenstein(self) -> bool:

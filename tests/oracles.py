@@ -20,7 +20,8 @@ import networkx as nx
 from divclass import IntMatrix, LimitExceededError, Poset, build_poset
 from divclass import sweep
 from divclass.errors import InternalInvariantError
-from divclass.poset import disjoint_chain_pairs, maximal_chains
+from divclass.joinmeet import choose_tree, class_expressions
+from divclass.poset import bound, disjoint_chain_pairs, maximal_chains
 
 
 def det_cofactor(rows):
@@ -273,7 +274,9 @@ def per_sample_sweep(count, max_n, seed):
     """The sweep loop that ``run_sweep`` replaced: every sample evaluated on its own.
 
     It calls ``joinmeet_report`` through the ``sweep`` module, so a test
-    that patches it there reaches both loops.
+    that patches it there reaches both loops, and evaluates all five checks
+    itself, reading the cycles from ``class_expressions`` rather than from
+    the report.
     """
     rng = random.Random(seed)
     summary = sweep.SweepSummary(count=count, max_n=max_n, seed=seed)
@@ -294,9 +297,11 @@ def per_sample_sweep(count, max_n, seed):
             poset,
             f"got {report.group}, expected free rank {expected_rank}",
         )
+        extension = bound(poset)
+        cycles = class_expressions(extension, choose_tree(extension)).cycles
         summary.record(
             "cycle_coefficients",
-            all(len({v for v, _ in cycle}) == len(cycle) for cycle in report.cycles),
+            all(len({v for v, _ in cycle}) == len(cycle) for cycle in cycles),
             index,
             poset,
             "coefficient outside {-1, 0, 1}",

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divclass import (
     AbelianPresentation,
@@ -14,6 +15,7 @@ from divclass import (
     fitting_number,
     is_zero_class,
     quotient_by,
+    solve_integer,
     structure,
     torsion_number,
 )
@@ -226,6 +228,40 @@ def test_torsion_zero_iff_zero_class_randomized():
             omega = ClassElement(tuple(rng.randint(-9, 9) for _ in range(g)))
         d = torsion_number(p, omega)  # raises internally on any disagreement
         assert (d == 0) == is_zero_class(p, omega)
+
+
+# zeros keep many presentations rank-deficient; large entries grow the transforms
+LARGE_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**40), 2**40))
+
+
+@st.composite
+def presentation_and_element(draw):
+    """Up to 5 generators x 5 relations, and an omega that is random or in the relation span."""
+    g = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(LARGE_ENTRIES, min_size=n, max_size=n), min_size=g, max_size=g))
+    if draw(st.booleans()):
+        weights = draw(st.lists(LARGE_ENTRIES, min_size=n, max_size=n))
+        omega = tuple(sum(w * a for w, a in zip(weights, row)) for row in rows)
+    else:
+        omega = tuple(draw(st.lists(LARGE_ENTRIES, min_size=g, max_size=g)))
+    return IntMatrix.from_rows(rows, cols=n), omega
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(presentation_and_element())
+def test_torsion_number_matches_definition_at_large_entries(case):
+    # d against its definition, read off a second elimination of [A | omega],
+    # and d = 0 against an integer solution of A x = omega
+    A, omega = case
+    p = AbelianPresentation(A)
+    d = torsion_number(p, ClassElement(omega))
+    q = quotient_by(p, ClassElement(omega))
+    r = structure(q).free_rank
+    assert d == (0 if fitting_number(p, r) == fitting_number(q, r) else fitting_number(q, r))
+    x = solve_integer(A, omega)
+    assert (d == 0) == (x is not None)
+    assert x is None or A.mul_vector(x) == omega
 
 
 def test_structure_stable_under_redundant_relation():

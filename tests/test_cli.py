@@ -160,6 +160,25 @@ def test_analyze_number_past_the_digit_limit_is_input_error(capsys, monkeypatch)
     assert err.startswith("error: ") and "digits" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit before Python 3.10.7"
+)
+@pytest.mark.parametrize(
+    "doc, digits",
+    [
+        ({"mode": "cone", "dim": "1" + "0" * 4300, "forms": []}, 4301),
+        ({"mode": "cone", "dim": 1, "forms": [["-" + "7" * 5001]]}, 5001),
+    ],
+)
+def test_analyze_decimal_string_past_the_digit_limit_is_input_error(
+    capsys, monkeypatch, doc, digits
+):
+    # a decimal string is named as one, with its digit count, not echoed
+    code, out, err = run_cli(capsys, ["analyze"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and f"{digits} digits" in err and len(err) < 300
+
+
 def test_analyze_prints_answers_past_the_digit_limit(capsys, monkeypatch):
     # forms (1, 0), (10^4300 - 3, 10^4300 - 1), (0, 1): Cl = Z and d = 2 * 10^4300 - 5
     a, b = "9" * 4299 + "7", "9" * 4300

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from collections import Counter
 
@@ -9,6 +10,7 @@ from divclass import (
     AbelianPresentation,
     ClassElement,
     ConeDescription,
+    GroupStructure,
     InternalInvariantError,
     IntMatrix,
     SpanningTree,
@@ -26,7 +28,7 @@ from divclass import (
 )
 from divclass import joinmeet, poset
 from divclass.cli import main
-from divclass.sweep import random_poset, run_sweep
+from divclass.sweep import CHECKS, random_poset, run_sweep
 from oracles import dense_class_expressions, layered_poset
 
 
@@ -299,6 +301,71 @@ def test_report_raises_on_impossible_state(monkeypatch):
     monkeypatch.setattr(jm, "verify_column_relations", lambda *args: False)
     with pytest.raises(InternalInvariantError):
         joinmeet_report(antichain2())
+
+
+def _repeat_a_tree_edge(expr):
+    """The same expression with the first cycle passing its first tree edge twice."""
+    if not expr.cycles:
+        return expr
+    first = expr.cycles[0]
+    return joinmeet.ClassExpression((first + first[:1],) + expr.cycles[1:], expr.canonical_coords)
+
+
+# joinmeet_report is the only home of the sweep's rank_formula and
+# cycle_coefficients: each case breaks one of its checks and names the
+# message that check raises, and the samples of run_sweep(50, 5, 3) it hits
+@pytest.mark.parametrize(
+    "name, corrupt, message, hits",
+    [
+        (
+            "structure",
+            lambda real: lambda pres: GroupStructure(real(pres).free_rank + 1, ()),
+            r"must be free of rank \d+, got Z",
+            50,
+        ),
+        (
+            "structure",
+            lambda real: lambda pres: GroupStructure(real(pres).free_rank, (2,)),
+            r"must be free of rank \d+, got .*Z/2",
+            50,
+        ),
+        (
+            "class_expressions",
+            lambda real: lambda ext, tree: _repeat_a_tree_edge(real(ext, tree)),
+            r"^fundamental-cycle coefficients must be -1, 0, or 1$",
+            28,
+        ),
+        (
+            "torsion_number",
+            lambda real: lambda pres, element: real(pres, element) + 1,
+            r"tree-basis torsion number \d+ disagrees with the Fitting-ideal value \d+",
+            50,
+        ),
+    ],
+    ids=["rank", "torsion-factor", "cycle-coefficient", "torsion-number"],
+)
+def test_each_report_invariant_raises(monkeypatch, name, corrupt, message, hits):
+    monkeypatch.setattr(joinmeet, name, corrupt(getattr(joinmeet, name)))
+    with pytest.raises(InternalInvariantError, match=message):
+        joinmeet_report(two_chains_poset(3, 1))
+
+    rng = random.Random(3)
+    affected = []
+    for index in range(50):
+        try:
+            joinmeet_report(random_poset(rng, 5))
+        except InternalInvariantError:
+            affected.append(index)
+    assert len(affected) == hits
+    doc = run_sweep(50, 5, 3).as_document()
+    assert [failure["index"] for failure in doc["failures"]] == affected
+    for failure in doc["failures"]:
+        assert failure["check"] == "report_consistency"
+        assert re.search(message, failure["message"])
+    assert doc["checks"]["report_consistency"] == {"pass": 50 - hits, "fail": hits}
+    # no other check is attempted for a sample whose report raised
+    for check in CHECKS[1:]:
+        assert doc["checks"][check] == {"pass": 50 - hits, "fail": 0}
 
 
 def test_cone_mode_agrees_with_poset_mode():
