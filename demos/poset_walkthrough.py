@@ -16,7 +16,6 @@ from divclass import (
     build_poset,
     choose_tree,
     class_expressions,
-    is_pure,
     joinmeet_report,
     quotient_by,
     relation_matrix,
@@ -30,7 +29,7 @@ poset = build_poset(
 )
 print("elements in linear-extension order:", poset.labels)
 print("cover relations:", poset.cover_label_pairs())
-print("pure (all maximal chains the same size)?", is_pure(poset))
+print("pure (all maximal chains the same size)?", bound(poset).is_graded())
 
 # Bounded extension: new bottom below the minimal elements, new top above
 # the maximal ones.  Every Hasse edge of the extension is one facet.

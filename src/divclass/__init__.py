@@ -19,10 +19,7 @@ from .abelian import (
     ClassElement,
     GroupStructure,
     fitting_number,
-    is_zero_class,
-    minor_gcd,
     quotient_by,
-    rank,
     solve_integer,
     structure,
     torsion_number,
@@ -48,7 +45,6 @@ from .poset import (
     Poset,
     bound,
     build_poset,
-    is_pure,
     maximal_chains,
     two_chains_poset,
 )
@@ -86,14 +82,10 @@ __all__ = [
     "cone_report",
     "determinantal_invariants",
     "fitting_number",
-    "is_pure",
-    "is_zero_class",
     "joinmeet_report",
     "maximal_chains",
-    "minor_gcd",
     "normalize_form",
     "quotient_by",
-    "rank",
     "relation_matrix",
     "run_sweep",
     "segre_veronese_cone",

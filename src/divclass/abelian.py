@@ -7,13 +7,13 @@ nonnegative generator.
 
 Every invariant is read here off one Smith decomposition U A V = D per
 presentation (``AbelianPresentation.smith``): structure and Fitting numbers
-off its invariant factors, membership off c = U e, and the torsion number
-and the free coordinates together off one c = U omega
-(``torsion_and_free_coordinates``, the one reader of both).
+off its invariant factors, and the torsion number and the free coordinates
+together off one c = U omega (``torsion_and_free_coordinates``, the one
+reader of both, which also checks membership off that c).
 ``SmithDecomposition.U_mul_vector`` replays c from the logged row
 operations without building U; only ``solve_integer`` reads a transform,
-V, which is sparse, so V y sums nonzeros only.  ``rank``, ``minor_gcd``
-and ``solve_integer`` read a matrix as the presentation of its cokernel.
+V, which is sparse, so V y sums nonzeros only.  ``solve_integer`` reads a
+matrix as the presentation of its cokernel.
 
 >>> zmod6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, as_integer, integer_vector
+from .errors import InputError, InternalInvariantError, as_integer, excerpt, integer_vector
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -109,7 +109,7 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
     """
     i = as_integer(i, "Fitting index")
     if not 0 <= i <= p.generators:
-        raise InputError(f"Fitting index {i} out of range for {p.generators} generators")
+        raise InputError(f"Fitting index {excerpt(i)} out of range for {p.generators} generators")
     k = p.generators - i
     if k > p.smith.rank:
         return 0
@@ -120,15 +120,6 @@ def quotient_by(p: AbelianPresentation, e: ClassElement) -> AbelianPresentation:
     """Presentation of the quotient by the cyclic subgroup generated by ``e``."""
     _check_element(p, e)
     return AbelianPresentation(p.relations.append_column(e.coords))
-
-
-def is_zero_class(p: AbelianPresentation, e: ClassElement) -> bool:
-    """Whether ``e`` is trivial, i.e. lies in the integer span of the relations.
-
-    With U A V = D that holds when d_i | (U e)_i and U e vanishes past the rank.
-    """
-    _check_element(p, e)
-    return _diagonal_solution(p.smith, p.smith.U_mul_vector(e.coords)) is not None
 
 
 def torsion_number(p: AbelianPresentation, omega: ClassElement) -> int:
@@ -174,23 +165,6 @@ def torsion_and_free_coordinates(p: AbelianPresentation, omega: ClassElement) ->
         )
     free = all(f == 1 for f in snf.invariant_factors)
     return d, (c[snf.rank :] if free else None)
-
-
-def rank(A: IntMatrix) -> int:
-    """Rational rank of ``A`` (the number of nonzero invariant factors)."""
-    return AbelianPresentation(A).smith.rank
-
-
-def minor_gcd(A: IntMatrix, k: int) -> int:
-    """Nonnegative generator of the ideal of k x k minors of ``A``.
-
-    Equals d_1 * ... * d_k for k at most the rank, and 0 beyond it;
-    I_0 is the whole ring, so k = 0 returns 1.
-    """
-    k = as_integer(k, "minor size")
-    if not 0 <= k <= min(A.rows, A.cols):
-        raise InputError(f"minor size {k} out of range for a {A.rows}x{A.cols} matrix")
-    return fitting_number(AbelianPresentation(A), A.rows - k)
 
 
 def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:

@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import __version__
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, excerpt
 from .joinmeet import joinmeet_report
 from .poset import Poset, build_poset, two_chains_poset
 from .semigroup import (
@@ -51,7 +51,7 @@ def _as_int(value, what: str) -> int:
                 f"{what} is a decimal string of {len(value.lstrip('-'))} digits, "
                 f"past the limit of {sys.get_int_max_str_digits()} digits"
             ) from None
-    raise InputError(f"{what} must be an integer or a decimal string, got {value!r}")
+    raise InputError(f"{what} must be an integer or a decimal string, got {excerpt(value)}")
 
 
 def _as_int_vector(value, what: str) -> tuple:
@@ -72,7 +72,7 @@ def parse_input_document(obj):
     present = set(obj) - {"mode"}
     unknown = present - poset_fields - cone_fields
     if unknown:
-        raise InputError(f"unknown input fields: {sorted(unknown)}")
+        raise InputError(f"unknown input fields: {excerpt(sorted(unknown))}")
     if mode == "poset":
         if present & cone_fields:
             raise InputError("poset mode must not carry cone fields")
@@ -87,13 +87,13 @@ def parse_input_document(obj):
         pairs = []
         for rel in relations:
             if not (isinstance(rel, list) and len(rel) == 2 and all(isinstance(x, str) for x in rel)):
-                raise InputError(f"relation {rel!r} is not a pair of element names")
+                raise InputError(f"relation {excerpt(rel)} is not a pair of element names")
             pairs.append(tuple(rel))
         for name in elements + [x for pair in pairs for x in pair]:
             try:
                 name.encode("utf-8")
             except UnicodeEncodeError:
-                raise InputError(f"name {name!r} does not encode as UTF-8") from None
+                raise InputError(f"name {excerpt(name)} does not encode as UTF-8") from None
         return build_poset(elements, pairs)
     if present & poset_fields:
         raise InputError("cone mode must not carry poset fields")

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by the whole package, and its input guards."""
+"""Exception hierarchy shared by the whole package, its input guards, and the excerpt they quote."""
 
 import operator
+import reprlib
 from collections.abc import Mapping, Set
 
 
@@ -24,12 +25,34 @@ class InternalInvariantError(DivclassError):
     """
 
 
+class _Excerpt(reprlib.Repr):
+    """``reprlib``'s limits, with an integer past 128 bits written as its bit count.
+
+    ``reprlib`` writes an integer out in full before shortening it, which
+    raises ``ValueError`` past the interpreter's digit limit.
+    """
+
+    def repr_int(self, x, level):
+        bits = x.bit_length()
+        return repr(x) if bits <= 128 else f"<{bits}-bit integer>"
+
+
+_EXCERPT = _Excerpt()
+_EXCERPT.maxstring, _EXCERPT.maxlevel = 60, 2
+
+
+def excerpt(value) -> str:
+    """``repr(value)`` if short, else shortened before it is written and cut at 100 characters."""
+    text = _EXCERPT.repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 def as_integer(value, what: str) -> int:
     """``value`` as an int through ``operator.index``; anything else is an ``InputError``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        raise InputError(f"{what} must be an integer, got {excerpt(value)}") from None
 
 
 def as_tuple(value, what: str) -> tuple:
@@ -43,7 +66,7 @@ def as_tuple(value, what: str) -> tuple:
             return tuple(value)
         except TypeError:
             pass
-    raise InputError(f"{what} must be a sequence, got {value!r}")
+    raise InputError(f"{what} must be a sequence, got {excerpt(value)}")
 
 
 def integer_vector(values, what: str, entry: str = "entry") -> tuple:

@@ -2,9 +2,9 @@
 
 Everything runs on Python's arbitrary-precision integers, so transforms can
 never overflow.  An ``IntMatrix`` keeps each row as a dict of its nonzeros,
-so products, transposes and matrix-vector products visit nonzeros only.
-This module only eliminates: every reading of a decomposition (rank,
-minors, solutions, group invariants) lives in :mod:`divclass.abelian`,
+so products and matrix-vector products visit nonzeros only.
+This module only eliminates: every reading of a decomposition (Fitting
+numbers, solutions, group invariants) lives in :mod:`divclass.abelian`,
 whose ``AbelianPresentation.smith`` is the one caller of
 ``smith_normal_form``.
 
@@ -36,7 +36,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, as_integer, as_tuple, integer_vector
+from .errors import (
+    InputError,
+    InternalInvariantError,
+    as_integer,
+    as_tuple,
+    excerpt,
+    integer_vector,
+)
 
 
 def _dimension(value, what: str) -> int:
@@ -58,7 +65,7 @@ def _entry_rows(rows: Iterable[Iterable[tuple]], cols: int) -> tuple:
             for j, e in pairs:
                 j, e = operator.index(j), operator.index(e)
                 if not 0 <= j < cols:
-                    raise InputError(f"column index out of range for {cols} columns")
+                    raise InputError(f"column index out of range for {excerpt(cols)} columns")
                 if e:
                     row[j] = e
             out.append(row)
@@ -92,7 +99,8 @@ class IntMatrix:
         data = as_tuple(entries, "matrix entries")
         if len(data) != rows * cols:
             raise InputError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
+                f"expected {excerpt(rows * cols)} entries for a "
+                f"{excerpt(rows)}x{excerpt(cols)} matrix, got {len(data)}"
             )
         self.rows = rows
         self.cols = cols
@@ -116,7 +124,7 @@ class IntMatrix:
             if any(len(r) != width for r in rows):
                 raise InputError("all rows must have the same length")
             if cols is not None and cols != width:
-                raise InputError(f"rows have length {width}, not {cols}")
+                raise InputError(f"rows have length {width}, not {excerpt(cols)}")
         else:
             width = 0 if cols is None else cols
         return cls.from_sparse((dict(enumerate(r)) for r in rows), width)
@@ -145,34 +153,23 @@ class IntMatrix:
     def __getitem__(self, key: tuple) -> int:
         pair = as_tuple(key, "matrix index")
         if len(pair) != 2:
-            raise InputError(f"matrix index must be a (row, column) pair, got {key!r}")
+            raise InputError(f"matrix index must be a (row, column) pair, got {excerpt(key)}")
         i, j = as_integer(pair[0], "row index"), as_integer(pair[1], "column index")
         if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise InputError(f"index {(i, j)} out of range for a {self.rows}x{self.cols} matrix")
+            raise InputError(
+                f"index {excerpt((i, j))} out of range for a {self.rows}x{self.cols} matrix"
+            )
         return self._rows[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
         i = as_integer(i, "row index")
         if not 0 <= i < self.rows:
-            raise InputError(f"row {i} out of range for a {self.rows}x{self.cols} matrix")
+            raise InputError(f"row {excerpt(i)} out of range for a {self.rows}x{self.cols} matrix")
         return tuple(map(self._rows[i].get, range(self.cols), itertools.repeat(0)))
-
-    def column(self, j: int) -> tuple:
-        j = as_integer(j, "column index")
-        if not 0 <= j < self.cols:
-            raise InputError(f"column {j} out of range for a {self.rows}x{self.cols} matrix")
-        return tuple(row.get(j, 0) for row in self._rows)
 
     def to_lists(self) -> list:
         """Mutable row-of-lists copy (the working form used by algorithms)."""
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._rows):
-            for j, e in row.items():
-                out[j][i] = e
-        return IntMatrix._of(self.cols, self.rows, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product sums e * (row k of ``other``) over the nonzeros e = self[i, k]."""

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import AbelianPresentation, ClassElement, structure, torsion_number
-from .errors import InternalInvariantError
+from .errors import InputError, InternalInvariantError
 from .exact_linalg import IntMatrix
 from .poset import BoundedPoset, Poset, bound
 from .semigroup import ClassGroupReport
@@ -74,6 +74,18 @@ def relation_matrix(extension: BoundedPoset) -> IntMatrix:
     return IntMatrix.from_sparse(_relation_rows(extension), cols=extension.top)
 
 
+def _check_spans(extension: BoundedPoset, tree: SpanningTree, error: type) -> None:
+    """Raise ``error`` unless ``tree`` spans ``extension``, one upward edge per vertex in order."""
+    if sorted(tree.tree_edges + tree.nontree_edges) != sorted(extension.edges):
+        raise error("tree edges do not partition the edge set")
+    if [source for source, _ in tree.tree_edges] != list(range(extension.top)):
+        raise error("tree does not take one edge out of each vertex below the top")
+    for v, (_, target) in enumerate(tree.tree_edges):
+        # upper triangular with unit diagonal: row v is z_v or z_v - z_target
+        if target <= v:
+            raise error(f"tree row {v} is not upper triangular")
+
+
 def choose_tree(extension: BoundedPoset) -> SpanningTree:
     """Deterministic spanning tree: each vertex keeps its smallest upward edge.
 
@@ -94,15 +106,10 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
             raise InternalInvariantError(f"vertex {v} has no upward edge in the Hasse diagram")
         tree.append((v, min(targets)))
     tree_set = set(tree)
-    nontree = tuple(e for e in extension.edges if e not in tree_set)
-    if len(nontree) + len(tree) != len(extension.edges):
-        raise InternalInvariantError("tree edges do not partition the edge set")
-    for v, (source, target) in enumerate(tree):
-        # upper triangular with unit diagonal: row v is z_v or z_v - z_target
-        if source != v or target <= v:
-            raise InternalInvariantError(f"tree row {v} is not upper triangular")
+    spanning = SpanningTree(tuple(tree), tuple(e for e in extension.edges if e not in tree_set))
+    _check_spans(extension, spanning, InternalInvariantError)
     # targets climb strictly, so every tree path ends at the top
-    return SpanningTree(tuple(tree), nontree)
+    return spanning
 
 
 def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpression:
@@ -114,8 +121,10 @@ def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpre
     from y to the meet of the two tree paths and descends to x, so the
     y-side tree edges are the +1's and the x-side ones the -1's.  With
     ``dep`` the number of tree steps to the top, coordinate j of the
-    canonical class is therefore 1 + dep(y) - dep(x).
+    canonical class is therefore 1 + dep(y) - dep(x).  A tree that does not
+    span ``extension`` is an ``InputError``.
     """
+    _check_spans(extension, tree, InputError)
     parent = [edge[1] for edge in tree.tree_edges]
     dep = [0] * (extension.top + 1)
     for v in reversed(range(len(parent))):  # every tree target is above its vertex
@@ -140,13 +149,15 @@ def verify_column_relations(
 ) -> bool:
     """Substitute the tree-class expressions into every defining relation.
 
-    ``tree`` spans ``extension``, whose relation rows are read edge by edge.
+    ``tree`` must span ``extension`` (else ``InputError``); the relation
+    rows of ``extension`` are read edge by edge.
     Each coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
     Over class j that sums the (at most two) nonzeros of the row of e_j and
     of the signed tree rows along cycle j.
     """
+    _check_spans(extension, tree, InputError)
     if len(expr.cycles) != len(tree.nontree_edges):
         return False
     rows = dict(zip(extension.edges, _relation_rows(extension)))

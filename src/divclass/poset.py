@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InputError, InternalInvariantError, LimitExceededError, as_integer, as_tuple
+from .errors import (
+    InputError,
+    InternalInvariantError,
+    LimitExceededError,
+    as_integer,
+    as_tuple,
+    excerpt,
+)
 
 DEFAULT_CHAIN_LIMIT = 10**6
 
@@ -119,13 +126,13 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
         try:
             a, b = as_tuple(pair, "relation")
         except (InputError, ValueError):
-            raise InputError(f"relation {pair!r} is not a pair of element names") from None
+            raise InputError(f"relation {excerpt(pair)} is not a pair of element names") from None
         a, b = str(a), str(b)
         for x in (a, b):
             if x not in index:
-                raise InputError(f"relation mentions unknown element {x!r}")
+                raise InputError(f"relation mentions unknown element {excerpt(x)}")
         if a == b:
-            raise InputError(f"relation {a!r} < {b!r} is reflexive, hence a cycle")
+            raise InputError(f"relation {excerpt(a)} < {excerpt(b)} is reflexive, hence a cycle")
         above[index[a]].add(index[b])
     below_count = Counter(v for targets in above for v in targets)
     ready = [v for v in range(len(names)) if not below_count[v]]
@@ -159,14 +166,6 @@ def bound(poset: Poset) -> BoundedPoset:
     bottom_edges = [(BOTTOM, i + 1) for i in poset.minimals()]
     top_edges = [(i + 1, n + 1) for i in poset.maximals()]
     return BoundedPoset(poset, tuple(internal + bottom_edges + top_edges))
-
-
-def is_pure(poset: Poset) -> bool:
-    """Whether every maximal chain has the same cardinality.
-
-    Equivalent to the bounded extension being graded.
-    """
-    return bound(poset).is_graded()
 
 
 def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:

@@ -26,7 +26,7 @@ from .abelian import (
     structure,
     torsion_and_free_coordinates,
 )
-from .errors import InputError, as_integer, as_tuple, integer_vector
+from .errors import InputError, as_integer, as_tuple, excerpt, integer_vector
 from .exact_linalg import IntMatrix
 
 
@@ -74,11 +74,11 @@ class ConeDescription:
         forms = tuple(integer_vector(f, "form") for f in as_tuple(forms, "forms"))
         for f in forms:
             if len(f) != dim:
-                raise InputError(f"form {f} does not have {dim} coordinates")
+                raise InputError(f"form {excerpt(f)} does not have {excerpt(dim)} coordinates")
             if not any(f):
                 raise InputError("the zero vector is not a support form")
             if math.gcd(*(abs(x) for x in f)) != 1:
-                raise InputError(f"form {f} is not primitive; divide out the gcd")
+                raise InputError(f"form {excerpt(f)} is not primitive; divide out the gcd")
         if len(set(forms)) != len(forms):
             raise InputError("a form is listed more than once; each facet is one prime class")
         if interior_point is not None:
@@ -88,7 +88,8 @@ class ConeDescription:
             for f in forms:
                 if sum(a * b for a, b in zip(f, interior_point)) <= 0:
                     raise InputError(
-                        f"form {f} is not positive on the interior point {interior_point}"
+                        f"form {excerpt(f)} is not positive on the interior point "
+                        f"{excerpt(interior_point)}"
                     )
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "forms", forms)

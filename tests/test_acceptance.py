@@ -20,9 +20,9 @@ from divclass import (
     class_expressions,
     cone_report,
     determinantal_invariants,
+    fitting_number,
     joinmeet_report,
     maximal_chains,
-    minor_gcd,
     relation_matrix,
     segre_veronese_cone,
     smith_normal_form,
@@ -239,8 +239,9 @@ def test_criterion_9_snf_property_suite():
         assert abs(det_cofactor(snf.V.to_lists())) == 1
         for x, y in zip(snf.invariant_factors, snf.invariant_factors[1:]):
             assert y % x == 0
+        p = AbelianPresentation(A)
         for k in range(min(m, n) + 1):
-            assert minor_gcd(A, k) == brute_minor_gcd(rows, k)
+            assert fitting_number(p, m - k) == brute_minor_gcd(rows, k)
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0

@@ -179,6 +179,35 @@ def test_analyze_decimal_string_past_the_digit_limit_is_input_error(
     assert err.startswith("error: ") and f"{digits} digits" in err and len(err) < 300
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "poset", "elements": ["a"], "relations": [[f"x{i}" for i in range(5000)]]},
+        {"mode": "poset", "elements": ["a"], "relations": [["a", "z" * 5000]]},
+        {"mode": "cone", "dim": "1" * 5000 + "x", "forms": []},
+        {"mode": "cone", "dim": 1, "forms": [["z" * 5000]]},
+        {"mode": "poset", "elements": ["\ud800" + "a" * 4999], "relations": []},
+        {"mode": "cone", "dim": 2, "forms": [[1] * 3003]},
+        {"mode": "cone", "dim": 3001, "forms": [[2] * 3001]},
+        {"mode": "poset", "elements": [], "relations": [], "k" * 5000: 1},
+    ],
+    ids=[
+        "long-relation",
+        "long-unknown-name",
+        "long-dim-string",
+        "long-form-entry",
+        "long-unencodable-name",
+        "long-form-of-wrong-length",
+        "long-non-primitive-form",
+        "long-unknown-field",
+    ],
+)
+def test_analyze_error_quotes_only_an_excerpt_of_a_long_value(capsys, monkeypatch, doc):
+    code, out, err = run_cli(capsys, ["analyze"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.encode()) <= 300
+
+
 def test_analyze_prints_answers_past_the_digit_limit(capsys, monkeypatch):
     # forms (1, 0), (10^4300 - 3, 10^4300 - 1), (0, 1): Cl = Z and d = 2 * 10^4300 - 5
     a, b = "9" * 4299 + "7", "9" * 4300

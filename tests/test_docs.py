@@ -1,13 +1,20 @@
 """The README's Python examples and the package's docstring examples run as
-doctests, and the package exports what it imports."""
+doctests, the README's command-line examples run through ``cli.main``, and
+the package exports what it imports."""
 
 import ast
 import doctest
 import importlib
+import io
+import json
 import pkgutil
+import re
+import shlex
+import sys
 from pathlib import Path
 
 import divclass
+from divclass.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +23,40 @@ def test_readme_examples():
     failures, attempted = doctest.testfile(str(README), module_relative=False)
     assert attempted > 0
     assert failures == 0
+
+
+def readme_command_examples():
+    """(argv, stdin, comment) for each line of the ``sh`` block after "Examples:".
+
+    A line ``echo DOC | divclass ...`` feeds DOC and a newline on stdin.
+    """
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    for line in block.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        stdin = None
+        if "|" in command:
+            feed, command = command.split("|")
+            echo, doc = shlex.split(feed)
+            assert echo == "echo"
+            stdin = doc + "\n"
+        program, *argv = shlex.split(command)
+        assert program == "divclass"
+        yield argv, stdin, comment.strip()
+
+
+def test_readme_command_examples(capsys, monkeypatch):
+    examples = list(readme_command_examples())
+    assert len(examples) >= 4
+    asserted = 0
+    for argv, stdin, comment in examples:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        expected = re.fullmatch(r'(\w+) "(.*)"', comment)
+        if expected:
+            assert json.loads(out)[expected.group(1)] == expected.group(2), argv
+            asserted += 1
+    assert asserted >= 1
 
 
 def test_module_doctests():

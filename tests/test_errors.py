@@ -3,14 +3,17 @@
 import pytest
 
 from divclass import (
+    AbelianPresentation,
     ClassElement,
     ConeDescription,
     InputError,
     IntMatrix,
     build_poset,
+    fitting_number,
     normalize_form,
     solve_integer,
 )
+from divclass.errors import excerpt
 
 M = IntMatrix.from_rows([[1, 2], [3, 4]])
 
@@ -73,3 +76,50 @@ def test_malformed_containers_are_input_errors(build):
     with pytest.raises(InputError):
         build()
 
+
+
+HUGE = 10**5000  # past the interpreter's 4,300-digit limit for writing an int out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fitting_number(AbelianPresentation(M), HUGE),
+        lambda: M[HUGE, 0],
+        lambda: M.row(-HUGE),
+        lambda: ConeDescription(2, [(2 * HUGE, 2)]),
+        lambda: ConeDescription(3, [(HUGE, 1)]),
+        lambda: ConeDescription(HUGE, [(1, 1)]),
+        lambda: ConeDescription(2, [(1, 1)], [HUGE, -HUGE]),
+        lambda: IntMatrix.from_rows([[1]], cols=HUGE),
+        lambda: IntMatrix(HUGE, 2, ()),
+        lambda: build_poset(["a"], [("a", "b" * 5000)]),
+        lambda: ClassElement(["x" * 5000]),
+    ],
+    ids=[
+        "fitting-index",
+        "matrix-index",
+        "row-index",
+        "non-primitive-form",
+        "form-of-wrong-length",
+        "cone-dimension",
+        "interior-point",
+        "row-length",
+        "entry-count",
+        "unknown-element",
+        "non-integer-coordinate",
+    ],
+)
+def test_messages_quote_only_an_excerpt_of_a_huge_value(build):
+    # writing HUGE out raised ValueError, not InputError; a long string was
+    # quoted in full
+    with pytest.raises(InputError) as info:
+        build()
+    assert len(str(info.value)) < 300
+
+
+def test_excerpt_is_repr_for_short_values():
+    for value in (-(2**128) + 1, "name", ("a", 1), [1, 2, 3], (2**64, -5)):
+        assert excerpt(value) == repr(value)
+    assert excerpt(2**128) == "<129-bit integer>"
+    assert len(excerpt([["x" * 5000] * 5000] * 5000)) <= 100

@@ -8,9 +8,11 @@ import pytest
 
 from divclass import (
     AbelianPresentation,
+    BoundedPoset,
     ClassElement,
     ConeDescription,
     GroupStructure,
+    InputError,
     InternalInvariantError,
     IntMatrix,
     SpanningTree,
@@ -94,6 +96,49 @@ def test_tree_rows_upper_triangular():
             row = coeffs[edge]
             assert row[v] == 1
             assert all(row[w] == 0 for w in range(v))
+
+
+def test_tree_of_another_extension_is_input_error():
+    # at the parent the first raised KeyError (2, 4) and the second returned
+    # canonical_coords=(0,) for a tree that spans neither extension
+    e1 = bound(two_chains_poset(2, 1))
+    e2 = bound(build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]))
+    t2 = choose_tree(e2)
+    x2 = class_expressions(e2, t2)
+    with pytest.raises(InputError, match="do not partition"):
+        verify_column_relations(e1, t2, x2)
+    with pytest.raises(InputError, match="do not partition"):
+        class_expressions(e1, t2)
+    # the edges of e1, but one vertex's tree edge moved to the nontree edges
+    t1 = choose_tree(e1)
+    short = SpanningTree(t1.tree_edges[:-1], t1.nontree_edges + t1.tree_edges[-1:])
+    with pytest.raises(InputError, match="one edge out of each vertex"):
+        class_expressions(e1, short)
+    with pytest.raises(InputError, match="one edge out of each vertex"):
+        verify_column_relations(e1, short, class_expressions(e1, t1))
+
+
+# a two-element chain a < b: bound gives the edges (1, 2), (0, 1) and (2, 3)
+CHAIN2 = build_poset(["a", "b"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (2, 3)), "vertex 1 has no upward edge"),
+        (((1, 2), (1, 2), (0, 1), (2, 3)), "tree edges do not partition the edge set"),
+        (((1, 2), (0, 1), (2, 3), (2, 0)), "tree row 2 is not upper triangular"),
+    ],
+    ids=["no-upward-edge", "repeated-edge", "downward-edge"],
+)
+def test_each_choose_tree_invariant_raises(edges, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        choose_tree(BoundedPoset(CHAIN2, edges))
+
+
+def test_is_graded_raises_on_an_edge_out_of_an_unranked_vertex():
+    with pytest.raises(InternalInvariantError, match="vertex 2 reached before being ranked"):
+        BoundedPoset(CHAIN2, ((2, 1), (0, 2), (1, 3))).is_graded()
 
 
 def test_class_expressions_chain():

@@ -7,7 +7,6 @@ from divclass import (
     LimitExceededError,
     bound,
     build_poset,
-    is_pure,
     maximal_chains,
     two_chains_poset,
 )
@@ -150,10 +149,10 @@ def test_bound_edge_count_formula():
 
 
 def test_is_pure_examples():
-    assert is_pure(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]))
-    assert not is_pure(two_chains_poset(5, 2))
-    assert is_pure(build_poset([f"x{i}" for i in range(4)]))
-    assert is_pure(build_poset([]))
+    assert bound(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])).is_graded()
+    assert not bound(two_chains_poset(5, 2)).is_graded()
+    assert bound(build_poset([f"x{i}" for i in range(4)])).is_graded()
+    assert bound(build_poset([])).is_graded()
 
 
 def test_is_pure_against_brute_force():
@@ -161,7 +160,7 @@ def test_is_pure_against_brute_force():
     for _ in range(150):
         p = random_poset(rng, 7)
         sizes = brute_maximal_chain_cardinalities(p.n, p.covers)
-        assert is_pure(p) == (len(set(sizes)) <= 1)
+        assert bound(p).is_graded() == (len(set(sizes)) <= 1)
 
 
 def test_maximal_chains_two_chains():
