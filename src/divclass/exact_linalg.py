@@ -88,32 +88,29 @@ class IntMatrix:
     True
     >>> A.determinant()
     -2
-    >>> IntMatrix.from_sparse([{1: 5}, {}], cols=2)
+    >>> IntMatrix([{1: 5}, {}], cols=2)
     IntMatrix.from_rows([[0, 5], [0, 0]])
     """
 
     __slots__ = ("rows", "cols", "_rows")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
-        rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
-        data = as_tuple(entries, "matrix entries")
-        if len(data) != rows * cols:
-            raise InputError(
-                f"expected {excerpt(rows * cols)} entries for a "
-                f"{excerpt(rows)}x{excerpt(cols)} matrix, got {len(data)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self._rows = _entry_rows(
-            (enumerate(data[i * cols : (i + 1) * cols]) for i in range(rows)), cols
-        )
+    def __init__(self, rows: Iterable[Mapping[int, int]], cols: int):
+        """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
+        self.cols = _dimension(cols, "column count")
+        try:
+            pairs = [row.items() for row in as_tuple(rows, "matrix rows")]
+        except AttributeError:
+            raise InputError("each sparse row must be a mapping from columns to entries") from None
+        self._rows = _entry_rows(pairs, self.cols)
+        self.rows = len(self._rows)
 
     @classmethod
-    def _of(cls, rows: int, cols: int, data: Iterable[dict]) -> "IntMatrix":
+    def _of(cls, cols: int, data: Iterable[dict]) -> "IntMatrix":
         # Rows kept as built, neither copied nor validated: each a dict of
         # nonzero entries at columns in range, owned by this matrix alone.
         matrix = object.__new__(cls)
-        matrix.rows, matrix.cols, matrix._rows = rows, cols, tuple(data)
+        matrix.cols, matrix._rows = cols, tuple(data)
+        matrix.rows = len(matrix._rows)
         return matrix
 
     @classmethod
@@ -127,28 +124,17 @@ class IntMatrix:
                 raise InputError(f"rows have length {width}, not {excerpt(cols)}")
         else:
             width = 0 if cols is None else cols
-        return cls.from_sparse((dict(enumerate(r)) for r in rows), width)
-
-    @classmethod
-    def from_sparse(cls, rows: Iterable[Mapping[int, int]], cols: int) -> "IntMatrix":
-        """The matrix whose row i holds the ``{column: entry}`` map ``rows[i]``, zero elsewhere."""
-        cols = _dimension(cols, "column count")
-        try:
-            pairs = [row.items() for row in as_tuple(rows, "matrix rows")]
-        except AttributeError:
-            raise InputError("each sparse row must be a mapping from columns to entries") from None
-        data = _entry_rows(pairs, cols)
-        return cls._of(len(data), cols, data)
+        return cls((dict(enumerate(r)) for r in rows), width)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         n = _dimension(n, "size")
-        return cls._of(n, n, [{i: 1} for i in range(n)])
+        return cls._of(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         rows, cols = _dimension(rows, "row count"), _dimension(cols, "column count")
-        return cls._of(rows, cols, [{} for _ in range(rows)])
+        return cls._of(cols, [{} for _ in range(rows)])
 
     def __getitem__(self, key: tuple) -> int:
         pair = as_tuple(key, "matrix index")
@@ -184,7 +170,7 @@ class IntMatrix:
                 for j, f in right[k].items():
                     acc[j] = get(j, 0) + e * f
             product.append({j: x for j, x in acc.items() if x})
-        return IntMatrix._of(self.rows, other.cols, product)
+        return IntMatrix._of(other.cols, product)
 
     def mul_vector(self, v: Sequence[int]) -> tuple:
         v = integer_vector(v, "vector")
@@ -197,7 +183,7 @@ class IntMatrix:
         if len(col) != self.rows:
             raise InputError(f"column of length {len(col)} does not match {self.rows} rows")
         n = self.cols
-        return IntMatrix.from_sparse(({**row, n: c} for row, c in zip(self._rows, col)), n + 1)
+        return IntMatrix(({**row, n: c} for row, c in zip(self._rows, col)), n + 1)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -234,7 +220,7 @@ class IntMatrix:
     def __repr__(self) -> str:
         if self.rows and self.cols:
             return f"IntMatrix.from_rows({[list(self.row(i)) for i in range(self.rows)]!r})"
-        return f"IntMatrix({self.rows}, {self.cols}, ())"
+        return f"IntMatrix.zeros({self.rows}, {self.cols})"
 
     def pretty(self) -> str:
         """Aligned multi-line rendering, for demos and error messages."""
@@ -274,19 +260,19 @@ class SmithDecomposition:
 
     @cached_property
     def D(self) -> IntMatrix:
-        return IntMatrix._of(self.rows, self.cols, _diagonal(self.invariant_factors, self.rows))
+        return IntMatrix._of(self.cols, _diagonal(self.invariant_factors, self.rows))
 
     @cached_property
     def U(self) -> IntMatrix:
         m = self.rows
         ops = [op for op in self.ops if op[0] != "column"]
-        return IntMatrix._of(m, m, _replay([{i: 1} for i in range(m)], ops, m))
+        return IntMatrix._of(m, _replay([{i: 1} for i in range(m)], ops, m))
 
     @cached_property
     def V(self) -> IntMatrix:
         n = self.cols
         ops = [op for op in self.ops if op[0] == "column"]
-        return IntMatrix._of(n, n, _replay([{j: 1} for j in range(n)], ops, n))
+        return IntMatrix._of(n, _replay([{j: 1} for j in range(n)], ops, n))
 
     def U_mul_vector(self, v: Sequence[int]) -> tuple:
         """U v, by replaying the row operations and sign changes on a copy of ``v``."""

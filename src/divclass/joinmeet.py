@@ -71,7 +71,7 @@ def _relation_rows(extension: BoundedPoset) -> list:
 
 def relation_matrix(extension: BoundedPoset) -> IntMatrix:
     """Relation matrix of the class group: one row per Hasse edge, columns z_0..z_n."""
-    return IntMatrix.from_sparse(_relation_rows(extension), cols=extension.top)
+    return IntMatrix(_relation_rows(extension), cols=extension.top)
 
 
 def _check_spans(extension: BoundedPoset, tree: SpanningTree, error: type) -> None:

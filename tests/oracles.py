@@ -410,7 +410,7 @@ def dense_smith_normal_form(A):
 
     diag = [rows[k][k] for k in range(min(m, n))]
     rank = sum(1 for e in diag if e)
-    D = IntMatrix(m, n, (e for row in rows for e in row[:n]))
-    U = IntMatrix(m, m, (e for row in rows for e in row[n:]))
-    V = IntMatrix(n, n, (e for row in v for e in row))
+    D = IntMatrix.from_rows([row[:n] for row in rows], cols=n)
+    U = IntMatrix.from_rows([row[n:] for row in rows], cols=m)
+    V = IntMatrix.from_rows(v, cols=n)
     return U, D, V, tuple(diag[:rank]), rank

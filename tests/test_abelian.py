@@ -32,7 +32,7 @@ def presentation(columns, generators=None):
 
 def free_presentation(r):
     """The free group Z^r: r generators and no relations."""
-    return AbelianPresentation(IntMatrix(r, 0, ()))
+    return AbelianPresentation(IntMatrix.zeros(r, 0))
 
 
 def test_structure_examples():

@@ -75,7 +75,7 @@ def test_determinant_matches_cofactor_expansion(matrix):
 def test_repr_is_dense_and_round_trips(matrix):
     m, n, a = matrix
     M = IntMatrix.from_rows(a, cols=n)
-    assert repr(M) == (f"IntMatrix.from_rows({a!r})" if m and n else f"IntMatrix({m}, {n}, ())")
+    assert repr(M) == (f"IntMatrix.from_rows({a!r})" if m and n else f"IntMatrix.zeros({m}, {n})")
     assert eval(repr(M)) == M
 
 
@@ -86,10 +86,9 @@ def test_equality_and_hash_across_constructors(data):
     dense = IntMatrix.from_rows(a, cols=n)
     # the sparse rows keep some of the zero entries, written out explicitly
     sparse_rows = [{j: e for j, e in enumerate(row) if e or data.draw(st.booleans())} for row in a]
-    sparse = IntMatrix.from_sparse(sparse_rows, cols=n)
-    flat = IntMatrix(m, n, [e for row in a for e in row])
-    assert sparse == dense == flat
-    assert hash(sparse) == hash(dense) == hash(flat)
+    sparse = IntMatrix(sparse_rows, cols=n)
+    assert sparse == dense
+    assert hash(sparse) == hash(dense)
     assert sparse.to_lists() == a and repr(sparse) == repr(dense)
     if m and n:
         i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, n - 1))
@@ -98,37 +97,37 @@ def test_equality_and_hash_across_constructors(data):
         assert IntMatrix.from_rows(changed, cols=n) != dense
 
 
-def test_from_sparse_validation():
-    assert IntMatrix.from_sparse([{0: 0}], cols=1) == IntMatrix.zeros(1, 1)
+def test_sparse_row_validation():
+    assert IntMatrix([{0: 0}], cols=1) == IntMatrix.zeros(1, 1)
     with pytest.raises(InputError):
-        IntMatrix.from_sparse([{2: 1}], cols=2)
+        IntMatrix([{2: 1}], cols=2)
     with pytest.raises(InputError):
-        IntMatrix.from_sparse([{-1: 1}], cols=2)
+        IntMatrix([{-1: 1}], cols=2)
     with pytest.raises(InputError):
-        IntMatrix.from_sparse([{0: 1.5}], cols=2)
+        IntMatrix([{0: 1.5}], cols=2)
     with pytest.raises(InputError):
-        IntMatrix.from_sparse([{"0": 1}], cols=2)
+        IntMatrix([{"0": 1}], cols=2)
     with pytest.raises(InputError):
-        IntMatrix.from_sparse([], cols=-1)
+        IntMatrix([], cols=-1)
 
 
 def test_negative_dimensions_are_input_errors():
     with pytest.raises(InputError):
-        IntMatrix(-1, 0, ())
+        IntMatrix.zeros(-1, 0)
     with pytest.raises(InputError):
-        IntMatrix(0, -1, ())
+        IntMatrix.zeros(0, -1)
 
 
 def test_dimensions_must_be_integers():
     with pytest.raises(InputError, match="row count must be an integer"):
-        IntMatrix(1.0, 0, ())
+        IntMatrix.zeros(1.0, 0)
     with pytest.raises(InputError, match="column count must be an integer"):
-        IntMatrix(0, 1.0, ())
+        IntMatrix.zeros(0, 1.0)
 
 
 def test_sparse_width_must_be_an_integer():
     with pytest.raises(InputError, match="column count must be an integer"):
-        IntMatrix.from_sparse([{0: 1}], 1.5)
+        IntMatrix([{0: 1}], 1.5)
 
 
 @pytest.mark.parametrize("index", [-1, 2, 5, 7])
