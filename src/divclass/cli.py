@@ -37,6 +37,13 @@ _TOOL = {"name": "divclass", "version": __version__}
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # bad flags are input errors, exit code 1
+        # argparse quotes the offending argument whole: cut a long message to
+        # 200 bytes, counting each non-ASCII character as its longest escape
+        if len(message.encode("ascii", "backslashreplace")) > 200:
+            message = message[:197]
+            while len(message.encode("ascii", "backslashreplace")) > 197:
+                message = message[:-1]
+            message += "..."
         raise InputError(message)
 
 
@@ -178,6 +185,7 @@ def _cmd_sweep(args):
 
 
 def _render_text(doc, prefix="") -> list:
+    """The lines of a dict or a list; scalars are written inline by their container."""
     lines = []
     if isinstance(doc, dict):
         for key in doc:
@@ -187,7 +195,7 @@ def _render_text(doc, prefix="") -> list:
                 lines.extend(_render_text(value, prefix + "  "))
             else:
                 lines.append(f"{prefix}{key}: {value}")
-    elif isinstance(doc, list):
+    else:
         if not doc:
             lines.append(f"{prefix}(none)")
         for item in doc:
@@ -196,8 +204,6 @@ def _render_text(doc, prefix="") -> list:
                 lines.extend(_render_text(item, prefix + "  "))
             else:
                 lines.append(f"{prefix}- {item}")
-    else:
-        lines.append(f"{prefix}{doc}")
     return lines
 
 

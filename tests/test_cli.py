@@ -246,6 +246,18 @@ def test_mode_field_validation():
         parse_input_document({"mode": "cone", "dim": 1, "forms": [[1]], "elements": []})
     with pytest.raises(InputError):
         parse_input_document([1, 2])
+    with pytest.raises(InputError, match='poset mode needs "elements" and "relations"'):
+        parse_input_document({"mode": "poset", "elements": ["a"]})
+    with pytest.raises(InputError, match='"elements" must be an array of strings'):
+        parse_input_document({"mode": "poset", "elements": ["a", 1], "relations": []})
+    with pytest.raises(InputError, match='"relations" must be an array of string pairs'):
+        parse_input_document({"mode": "poset", "elements": ["a"], "relations": {"a": "a"}})
+    with pytest.raises(InputError, match='"forms" must be an array of integer arrays'):
+        parse_input_document({"mode": "cone", "dim": 1, "forms": 5})
+    with pytest.raises(InputError, match='"forms" entry must be an array of integers'):
+        parse_input_document({"mode": "cone", "dim": 1, "forms": [5]})
+    with pytest.raises(InputError, match='"interior_point" must be an array of integers'):
+        parse_input_document({"mode": "cone", "dim": 1, "forms": [[1]], "interior_point": 1})
 
 
 def test_round_trip_of_echoed_input(capsys, monkeypatch):
@@ -398,10 +410,35 @@ def test_text_output(capsys):
 
 
 def test_unknown_flag_is_input_error(capsys):
-    code, _, _ = run_cli(capsys, ["analyze", "--bogus"])
-    assert code == 1
+    # a message that fits is quoted whole
+    assert run_cli(capsys, ["analyze", "--bogus"]) == (
+        1,
+        "",
+        "error: unrecognized arguments: --bogus\n",
+    )
+    assert run_cli(capsys, ["sweep", "--count", "1x"]) == (
+        1,
+        "",
+        "error: argument --count: invalid int value: '1x'\n",
+    )
     code, _, _ = run_cli(capsys, [])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--count", "1" * 5000],
+        ["sweep", "--" + "x" * 5000],
+        ["family", "veronese", "--n", "4", "--r", "1" * 5000],
+        ["sweep", "--" + "é" * 5000],
+    ],
+    ids=["long-count", "long-unknown-flag", "long-family-parameter", "long-non-ascii-flag"],
+)
+def test_flag_error_is_cut_to_a_short_message(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.endswith("...\n") and len(err.encode()) <= 300
 
 
 def divclass_src():

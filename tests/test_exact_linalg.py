@@ -173,6 +173,7 @@ def test_zero_dimensional_matrices():
         assert snf.invariant_factors == ()
         assert snf.rank == 0
         check_decomposition(A, snf)
+        assert A.pretty() == f"({shape[0]}x{shape[1]} empty)"
     assert solve_integer(IntMatrix.zeros(3, 0), [0, 0, 0]) == ()
     assert solve_integer(IntMatrix.zeros(3, 0), [0, 1, 0]) is None
     x = solve_integer(IntMatrix.zeros(0, 3), [])

@@ -167,3 +167,25 @@ def test_vector_readers_take_integer_vectors(read, vector):
     reader = AbelianPresentation(M).smith if read == "U_mul_vector" else M
     with pytest.raises(InputError, match="must be"):
         getattr(reader, read)(vector)
+
+
+@pytest.mark.parametrize(
+    "read, vector, message",
+    [
+        ("mul_vector", [1, 2, 3], "vector of length 3 does not match 2 columns"),
+        ("U_mul_vector", [1], "vector of length 1 does not match 3 rows"),
+        ("append_column", [1, 2], "column of length 2 does not match 3 rows"),
+    ],
+    ids=["mul_vector", "U_mul_vector", "append_column"],
+)
+def test_vector_readers_check_the_length(read, vector, message):
+    M = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    reader = AbelianPresentation(M).smith if read == "U_mul_vector" else M
+    with pytest.raises(InputError, match=message):
+        getattr(reader, read)(vector)
+
+
+def test_a_matrix_equals_no_other_type():
+    M = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert M.__eq__([[1, 2], [3, 4]]) is NotImplemented
+    assert M != [[1, 2], [3, 4]] and M != ((1, 2), (3, 4))

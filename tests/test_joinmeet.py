@@ -181,6 +181,9 @@ def test_verify_rejects_corrupted_expression():
     for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
         corrupted = ClassExpression((cycle,), expr.canonical_coords)
         assert not verify_column_relations(extension, tree, corrupted)
+    # fewer cycles than the tree has nontree edges
+    assert len(tree.nontree_edges) == 1
+    assert not verify_column_relations(extension, tree, ClassExpression((), expr.canonical_coords))
 
 
 def densify(cycles, rows):

@@ -37,6 +37,8 @@ def test_normalize_form_examples():
         normalize_form((1, -1), interior=(1, 1))
     with pytest.raises(InputError):
         normalize_form((0, 0))
+    with pytest.raises(InputError, match="interior point dimension does not match the form"):
+        normalize_form((1, 2), interior=(1, 2, 3))
 
 
 def test_cone_description_validation():
@@ -48,6 +50,10 @@ def test_cone_description_validation():
         ConeDescription(2, [(1, 0), (0, 1)], interior_point=(1, -1))
     with pytest.raises(InputError):
         ConeDescription(2, [(1, 0, 0)])
+    with pytest.raises(InputError, match="cone dimension must be nonnegative"):
+        ConeDescription(-1, [])
+    with pytest.raises(InputError, match="interior point dimension does not match the cone"):
+        ConeDescription(2, [(1, 0), (0, 1)], interior_point=(1, 1, 1))
     cone = ConeDescription(2, [(1, 0), (-1, 2)], interior_point=(1, 1))
     assert cone.forms == ((1, 0), (-1, 2))
 

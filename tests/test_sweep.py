@@ -1,9 +1,12 @@
+import dataclasses
+import json
 import random
 
 import pytest
 
 import divclass.sweep as sweep_module
-from divclass import InputError, build_poset
+from divclass import InputError, build_poset, two_chains_poset
+from divclass.cli import main
 from divclass.errors import InternalInvariantError
 from divclass.sweep import poset_document, random_poset, run_sweep
 
@@ -113,6 +116,47 @@ def test_forced_failure_reaches_every_sample_of_its_structure(monkeypatch):
     for check in sweep_module.CHECKS[1:]:
         assert doc["checks"][check] == {"pass": 300 - len(hits), "fail": 0}
     assert doc == per_sample_sweep(300, 4, 3).as_document()
+
+
+def test_wrong_torsion_number_fails_the_sweep_checks(monkeypatch, capsys):
+    # d raised by 1 on two structures: the pure three-element chain then reads
+    # d = 1, and two chains of 3 and 1 elements read d = 3, which does not
+    # divide their length gap 2; joinmeet_report itself still builds
+    chain = (3, frozenset({(0, 1), (1, 2)}))
+    two_chains = two_chains_poset(2, 0)
+    targets = {chain, (two_chains.n, two_chains.covers)}
+    posets = samples(100, 4, 6)
+    original = sweep_module.joinmeet_report
+
+    def wrong_d(poset):
+        report = original(poset)
+        if (poset.n, poset.covers) in targets:
+            return dataclasses.replace(report, torsion_number=report.torsion_number + 1)
+        return report
+
+    monkeypatch.setattr(sweep_module, "joinmeet_report", wrong_d)
+    summary = run_sweep(100, 4, 6)
+    assert not summary.all_passed
+    assert summary.failures == [
+        {
+            "index": 70,
+            "check": "chain_divisibility",
+            "message": "d=3 does not divide chain gap 2",
+            "poset": poset_document(posets[70]),
+        },
+        {
+            "index": 74,
+            "check": "pure_iff_gorenstein",
+            "message": "d=1, pure=True",
+            "poset": poset_document(posets[74]),
+        },
+    ]
+    # each failure's document replays the structure that failed
+    replayed = [build_poset(f["poset"]["elements"], f["poset"]["relations"]) for f in summary.failures]
+    assert [(q.n, q.covers) for q in replayed] == [(two_chains.n, two_chains.covers), chain]
+    assert summary.as_document() == per_sample_sweep(100, 4, 6).as_document()
+    assert main(["sweep", "--count", "100", "--max-n", "4", "--seed", "6"]) == 2
+    assert json.loads(capsys.readouterr().out)["all_passed"] is False
 
 
 @pytest.mark.parametrize("count, max_n", [(2.5, 3), ("3", 3), (2, 3.5), (2, "3")])
