@@ -12,8 +12,8 @@ together off one c = U omega (``torsion_and_free_coordinates``, the one
 reader of both, which also checks membership off that c).
 ``SmithDecomposition.U_mul_vector`` replays c from the logged row
 operations without building U; only ``solve_integer`` reads a transform,
-V, which is sparse, so V y sums nonzeros only.  ``solve_integer`` reads a
-matrix as the presentation of its cokernel.
+V, which is sparse, so V y sums nonzeros only, and pads y past the rank.
+``solve_integer`` reads a matrix as the presentation of its cokernel.
 
 >>> zmod6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
 >>> structure(zmod6)
@@ -84,11 +84,11 @@ def _check_element(p: AbelianPresentation, e: ClassElement):
 
 
 def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[list]:
-    """The y with D y = c, or None: it needs d_i | c_i below the rank and c = 0 past it."""
+    """y below the rank for D y = c (free past it), or None: d_i | c_i below it, c = 0 past it."""
     quotients = [divmod(x, f) for x, f in zip(c, snf.invariant_factors)]
     if any(r for _, r in quotients) or any(c[snf.rank :]):
         return None
-    return [q for q, _ in quotients] + [0] * (snf.cols - snf.rank)
+    return [q for q, _ in quotients]
 
 
 def structure(p: AbelianPresentation) -> GroupStructure:
@@ -172,11 +172,11 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
 
     Solved through the Smith transforms: with U A V = D the system becomes
     D y = U b and x = V y, where D is diagonal so each coordinate is a
-    single exact-divisibility test.
+    single exact-divisibility test; y is 0 past the rank.
     """
     b = integer_vector(b, "right-hand side")
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")
-    p = AbelianPresentation(A)
-    y = _diagonal_solution(p.smith, p.smith.U_mul_vector(b))
-    return None if y is None else p.smith.V.mul_vector(y)
+    snf = AbelianPresentation(A).smith
+    y = _diagonal_solution(snf, snf.U_mul_vector(b))
+    return None if y is None else snf.V.mul_vector(y + [0] * (A.cols - snf.rank))

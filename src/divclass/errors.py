@@ -48,11 +48,13 @@ def excerpt(value) -> str:
 
 
 def as_integer(value, what: str) -> int:
-    """``value`` as an int through ``operator.index``; anything else is an ``InputError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{what} must be an integer, got {excerpt(value)}") from None
+    """``value`` as an int through ``operator.index``; a bool or a non-int is an ``InputError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{what} must be an integer, got {excerpt(value)}")
 
 
 def as_tuple(value, what: str) -> tuple:

@@ -18,20 +18,21 @@ pivot row and the rows the row loop left a remainder in).  The pivot is
 the nonzero entry of least absolute value, ties at the lowest (row, col).
 The pivot search stops at the first row holding an entry of absolute value
 1, and the divisibility fix-up is skipped for a unit pivot; neither can
-change the pivot or the result.  The result is the invariant factors, the
-shape of ``A`` and the log.  ``U A V = D`` is checked exactly on every
-entry by replaying the whole log in order on fresh copies of the rows of
-``A`` and comparing them with the rows of the diagonal; in that order every
-entry is one the elimination itself held.  ``U`` and ``V`` are built on
-first read by replaying the row and the column operations on the identity,
-so the transforms a caller reads are the ones that were checked, and
-``U v`` replays the row operations on ``v`` alone.
+change the pivot or the result.  The result is the invariant factors (the
+pivots' absolute values), the shape of ``A`` and the log.  ``U A V = D`` is
+checked exactly on every entry by replaying the log in order on copies of
+the rows of ``A``, indexing columns on demand, against the diagonal's rows;
+in that order every entry is one the elimination itself held.  ``U`` and
+``V`` are built on first read by replaying the row and the column
+operations on the identity, so the transforms a caller reads are the ones
+that were checked, and ``U v`` replays the row operations on ``v`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -56,13 +57,15 @@ def _dimension(value, what: str) -> int:
 def _entry_rows(rows: Iterable[Iterable[tuple]], cols: int) -> tuple:
     """Each row's (column, entry) pairs as a dict of its nonzeros: the constructors' one guard.
 
-    Columns must be integers in range(cols) and entries integers.
+    Columns must be integers in range(cols) and entries integers, neither a bool.
     """
     out = []
     try:
         for pairs in rows:
             row = {}
             for j, e in pairs:
+                if isinstance(j, bool) or isinstance(e, bool):
+                    raise TypeError
                 j, e = operator.index(j), operator.index(e)
                 if not 0 <= j < cols:
                     raise InputError(f"column index out of range for {excerpt(cols)} columns")
@@ -266,13 +269,13 @@ class SmithDecomposition:
     def U(self) -> IntMatrix:
         m = self.rows
         ops = [op for op in self.ops if op[0] != "column"]
-        return IntMatrix._of(m, _replay([{i: 1} for i in range(m)], ops, m))
+        return IntMatrix._of(m, _replay([{i: 1} for i in range(m)], ops))
 
     @cached_property
     def V(self) -> IntMatrix:
         n = self.cols
         ops = [op for op in self.ops if op[0] == "column"]
-        return IntMatrix._of(n, _replay([{j: 1} for j in range(n)], ops, n))
+        return IntMatrix._of(n, _replay([{j: 1} for j in range(n)], ops))
 
     def U_mul_vector(self, v: Sequence[int]) -> tuple:
         """U v, by replaying the row operations and sign changes on a copy of ``v``."""
@@ -306,14 +309,14 @@ def _add_multiple(row: dict, other: dict, q: int) -> None:
             del row[k]
 
 
-def _replay(rows: list, ops: Sequence[tuple], cols: int) -> list:
-    """Apply the logged ``ops`` in order to ``rows``, row dicts of width ``cols``, in place."""
-    # holders[j] maps id(row) to every row that may be nonzero in column j,
-    # so a column operation scans no other row.  Row and column additions
-    # add the cells they newly fill, and each run of column additions from
-    # one column a starts by pruning holders[a] to the rows nonzero there.
-    # Keyed by identity, so row swaps leave it alone.
-    holders = [{} for _ in range(cols)]
+def _replay(rows: list, ops: Sequence[tuple]) -> list:
+    """Apply the logged ``ops`` in order to ``rows``, row dicts of nonzeros, in place."""
+    # holders[j] (made on first use) maps id(row) to every row that may be
+    # nonzero in column j, so a column operation scans no other row.  Row
+    # and column additions add the cells they newly fill, and each run of
+    # column additions from one column a starts by pruning holders[a] to
+    # the rows nonzero there.  Keyed by identity, so row swaps leave it alone.
+    holders = defaultdict(dict)
     for row in rows:
         for j in row:
             holders[j][id(row)] = row
@@ -398,9 +401,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             row = d[i]
             if not row:
                 continue
-            a, j = min((abs(e), j) for j, e in row.items())
+            a = min(map(abs, row.values()))
             if best is None or a < best_abs:
-                best, best_abs = (i, j), a
+                best = (i, min(j for j, e in row.items() if e == a or e == -a))
+                best_abs = a
                 if a == 1:
                     return best
         return best
@@ -476,14 +480,11 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
             pivot = (t, t)
         t += 1
 
-    diag = [d[k].get(k, 0) for k in range(min(m, n))]
-    for k, e in enumerate(diag):
-        if e < 0:
-            diag[k] = -e
+    # The pivots are d[k][k] for k < t: the loop stops at t == min(m, n) or with rows t.. all zero.
+    for k in range(t):
+        if d[k][k] < 0:
             ops.append(("negate", k, k, 0))
-    factors = tuple(e for e in diag if e)
-    if any(diag[len(factors) :]):
-        raise InternalInvariantError("zero invariant factor interleaved with nonzero ones")
+    factors = tuple(abs(d[k][k]) for k in range(t))
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalInvariantError(f"invariant factors {factors} violate divisibility")
@@ -491,6 +492,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     # U A V = D, checked by replaying the whole log in order on fresh copies
     # of the rows of A, R_k ... R_1 A E_1 ... E_l = D: exact on every entry,
     # and each entry is one the elimination itself held.
-    if _replay([dict(row) for row in A._rows], ops, n) != _diagonal(factors, m):
+    if _replay([dict(row) for row in A._rows], ops) != _diagonal(factors, m):
         raise InternalInvariantError("transforms do not carry the input to its Smith form")
     return SmithDecomposition(factors, m, n, ops)

@@ -172,7 +172,8 @@ def test_torsion_and_free_coordinates_match_the_two_readers():
 def test_class_element_coordinates_must_be_integers():
     with pytest.raises(InputError, match="coordinate must be an integer"):
         ClassElement((1.5,))
-    assert ClassElement((True, 2)).coords == (1, 2)
+    with pytest.raises(InputError, match="coordinate must be an integer"):
+        ClassElement((True, 2))
 
 
 def test_torsion_cross_check_raises_on_disagreement():

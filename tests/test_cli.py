@@ -104,6 +104,14 @@ def test_analyze_empty_poset(capsys, monkeypatch):
     assert doc["num_height_one_primes"] == 1
 
 
+def test_analyze_huge_declared_dimension(capsys, monkeypatch):
+    payload = json.dumps({"mode": "cone", "dim": 1000000, "forms": []})
+    code, out, err = run_cli(capsys, ["analyze"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["rank"], doc["invariant_factors"], doc["torsion_number"]) == (0, [], "0")
+
+
 def test_analyze_cycle_is_input_error(capsys, monkeypatch):
     payload = json.dumps(
         {"mode": "poset", "elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]}

@@ -11,6 +11,7 @@ from divclass import (
     build_poset,
     fitting_number,
     normalize_form,
+    run_sweep,
     solve_integer,
 )
 from divclass.errors import excerpt
@@ -74,6 +75,23 @@ def test_malformed_containers_are_input_errors(build):
     with pytest.raises(InputError):
         build()
 
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConeDescription(True, [(1,)]),
+        lambda: IntMatrix.from_rows([[True, False]]),
+        lambda: IntMatrix([{True: 1}], 2),
+        lambda: run_sweep(True, 3, 1),
+        lambda: fitting_number(AbelianPresentation(M), True),
+        lambda: ClassElement((True, 2)),
+    ],
+    ids=["cone-dimension", "entry", "column", "sweep-count", "fitting-index", "coordinate"],
+)
+def test_bools_are_not_integers(build):
+    # each was read as 0 or 1, while the command line refuses a JSON true
+    with pytest.raises(InputError):
+        build()
 
 
 HUGE = 10**5000  # past the interpreter's 4,300-digit limit for writing an int out

@@ -127,6 +127,11 @@ def test_solve_identity():
     assert solve_integer(IntMatrix.identity(3), [7, -2, 0]) == (7, -2, 0)
 
 
+def test_solve_pads_past_the_rank():
+    # no relations to satisfy: every entry of x is a free entry of y
+    assert solve_integer(IntMatrix.zeros(0, 5), ()) == (0, 0, 0, 0, 0)
+
+
 def test_solve_parity_obstruction():
     assert solve_integer(IntMatrix.from_rows([[2]]), [3]) is None
 
@@ -298,9 +303,9 @@ def test_product_check_rejects_a_dropped_column_update(monkeypatch):
     replay = exact_linalg._replay
     dropped = []
 
-    def drop_first_update(rows, ops, cols):
+    def drop_first_update(rows, ops):
         dropped.append(ops[0])
-        return replay(rows, ops[1:], cols)
+        return replay(rows, ops[1:])
 
     monkeypatch.setattr(exact_linalg, "_replay", drop_first_update)
     with pytest.raises(InternalInvariantError, match="do not carry"):
@@ -342,7 +347,7 @@ def rejected_corruptions(monkeypatch, A, logs):
     replay = exact_linalg._replay
     rejected = 0
     for corrupted in logs:
-        monkeypatch.setattr(exact_linalg, "_replay", lambda rows, ops, cols: replay(rows, corrupted, cols))
+        monkeypatch.setattr(exact_linalg, "_replay", lambda rows, ops: replay(rows, corrupted))
         with pytest.raises(InternalInvariantError, match="do not carry"):
             smith_normal_form(A)
         rejected += 1

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -213,6 +214,20 @@ def test_interior_point_must_be_a_lattice_point(build):
     # (0.5, 0.1) would orient (1, -2) by a point that is not a lattice point
     with pytest.raises(InputError, match="interior point"):
         build()
+
+
+def test_a_declared_dimension_costs_no_memory():
+    # a cone with no forms is a 0 x dim presentation holding no data, so
+    # neither the product check's replay nor the membership test may
+    # allocate per column (about 80 MB here if either did)
+    tracemalloc.start()
+    try:
+        report = cone_report(ConeDescription(10**6, []))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (report.group, report.torsion_number) == (GroupStructure(0, ()), 0)
 
 
 def test_cone_mode_matches_poset_mode():
