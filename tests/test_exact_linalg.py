@@ -404,7 +404,7 @@ def test_product_check_rejects_every_corrupted_row_log(monkeypatch):
     assert (rejected, seen) == (2134, {"addition": 835, "fold": 29, "swap": 267, "negate": 139})
 
 
-def test_smith_decompositions_pinned_at_scale():
+def at_scale_corpus():
     # Relation matrices of Hasse diagrams: unit pivots throughout, where the
     # pivot search stops at the first entry of absolute value 1.
     rng = random.Random(20261019)
@@ -413,11 +413,26 @@ def test_smith_decompositions_pinned_at_scale():
         p = random_poset(rng, 100)
         if p.n >= 60:
             posets.append(p)
+    return [relation_matrix(bound(p)) for p in posets]
+
+
+def test_smith_decompositions_pinned_at_scale():
     digest = hashlib.sha256()
-    for p in posets:
-        snf = smith_normal_form(relation_matrix(bound(p)))
+    for A in at_scale_corpus():
+        snf = smith_normal_form(A)
         digest.update(repr((snf.U, snf.D, snf.V)).encode())
     assert digest.hexdigest() == "f52a77573ceabd87a2e21b537ad81e7f2a69f4000888fc86bd608920a6c16040"
+
+
+def test_smith_operation_logs_pinned():
+    # The log itself, operation by operation: a change that reorders
+    # commuting operations, or skips or adds a zero-effect one, leaves U and
+    # V alone but changes this digest.
+    digest = hashlib.sha256()
+    for A in itertools.chain(pinned_corpus(), at_scale_corpus()):
+        snf = smith_normal_form(A)
+        digest.update(repr((snf.rows, snf.cols, snf.invariant_factors, snf.ops)).encode())
+    assert digest.hexdigest() == "27404898611034805a76aadf18269bf41268c8277827824a7b861981650c9628"
 
 
 def matches_dense_elimination(A):
