@@ -10,11 +10,15 @@ Integer entries may be given as numbers or decimal strings (an optional
 "-" and ASCII digits); all potentially large integers in the output are
 decimal strings, printed in full.  Exit codes:
 0 success, 1 input error, 2 internal invariant violation.
+
+One argument parser serves the whole process: ``main`` builds it on its
+first call and every later call reuses it, with a fresh namespace per parse.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -213,7 +217,13 @@ def render(doc, output: str) -> str:
     return "\n".join(_render_text(doc))
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The command line's parser, built on the first call and shared by every later one.
+
+    Each ``parse_args`` returns a fresh namespace, so one parse leaves
+    nothing behind for the next.
+    """
     parser = _ArgumentParser(
         prog="divclass",
         description="Divisor class groups and torsion numbers of normal affine semigroup rings.",

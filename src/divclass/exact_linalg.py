@@ -12,10 +12,13 @@ The Smith elimination keeps only what steers it: the rows of ``D``, each
 a dict of its nonzeros.  Neither transform is built during elimination.
 Every operation on the rows of ``D`` (row swaps and additions, column swaps
 and additions, and the final sign changes that make the diagonal
-positive) is appended to one log in elimination order, and a column
-operation touches only the rows still nonzero in the pivot column (the
-pivot row and the rows the row loop left a remainder in).  The pivot is
-the nonzero entry of least absolute value, ties at the lowest (row, col).
+positive) is appended to one log in elimination order.  The row loop
+visits only the rows below the pivot that hold its column, listed by the
+pass that swaps that column into place (or by one scan when no swap is
+needed), and a column operation touches only the rows still nonzero in
+the pivot column (the pivot row and the rows the row loop left a
+remainder in).  The pivot is the nonzero entry of least absolute value,
+ties at the lowest (row, col).
 The pivot search stops at the first row holding an entry of absolute value
 1, and the divisibility fix-up is skipped for a unit pivot; neither can
 change the pivot or the result.  The result is the invariant factors (the
@@ -420,30 +423,42 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 d[t], d[i] = d[i], d[t]
                 ops.append(("row", t, i, 0))
             if j != t:
-                # rows above t are zero in both columns
-                for row in d[t:]:
+                # Rows above t are zero in both columns.  The same pass lists
+                # the rows that hold the new column t, in order; the first
+                # is row t, which holds the pivot.
+                below = []
+                for i, row in enumerate(d[t:], t):
                     if t in row or j in row:
                         a, b = row.pop(t, 0), row.pop(j, 0)
                         if b:
                             row[t] = b
+                            below.append(i)
                         if a:
                             row[j] = a
+                del below[0]
                 ops.append(("column", t, j, 0))
+            else:
+                below = [i for i in range(t + 1, m) if t in d[i]]
             top = d[t]
             p = top[t]
             # The rows nonzero in column t after the row loop: the pivot row
             # and those left with a remainder.  No other row is touched by a
             # column operation, which subtracts a multiple of column t.
             remainders = [top]
-            for i in range(t + 1, m):
+            for i in below:
                 row = d[i]
+                q = row[t] // p
+                if q:
+                    get = row.get
+                    for k, b in top.items():
+                        e = get(k, 0) - q * b
+                        if e:
+                            row[k] = e
+                        else:
+                            del row[k]
+                    ops.append(("row", t, i, q))
                 if t in row:
-                    q = row[t] // p
-                    if q:
-                        _add_multiple(row, top, -q)
-                        ops.append(("row", t, i, q))
-                    if t in row:
-                        remainders.append(row)
+                    remainders.append(row)
             dirty = len(remainders) > 1
             for j in [k for k in top if k > t]:
                 q = top[j] // p

@@ -28,10 +28,49 @@ DEFAULT_CHAIN_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset given by its cover relations on linearly-extended indices."""
+    """A finite poset given by its cover relations on linearly-extended indices.
+
+    ``labels`` is a tuple of distinct strings and ``covers`` a frozenset of
+    index pairs (i, j) with 0 <= i < j < n, none implied by the others;
+    anything else is an ``InputError``.
+    """
 
     labels: tuple
     covers: frozenset
+
+    def __post_init__(self):
+        labels, covers = self.labels, self.covers
+        if not (isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)):
+            raise InputError(f"poset labels must be a tuple of strings, got {excerpt(labels)}")
+        if len(set(labels)) != len(labels):
+            raise InputError("poset labels must be distinct")
+        if not isinstance(covers, frozenset):
+            raise InputError(f"poset covers must be a frozenset of index pairs, got {excerpt(covers)}")
+        n = len(labels)
+        ups = [[] for _ in range(n)]
+        for pair in covers:
+            if not (
+                isinstance(pair, tuple)
+                and len(pair) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+                and 0 <= pair[0] < pair[1] < n
+            ):
+                raise InputError(
+                    f"cover {excerpt(pair)} is not an index pair (i, j) with 0 <= i < j < {n}"
+                )
+            ups[pair[0]].append(pair[1])
+        implied = covers.difference(_reduction(ups))
+        if implied:
+            raise InputError(f"cover {excerpt(min(implied))} is implied by the other covers")
+
+    @classmethod
+    def _of(cls, labels: tuple, covers: frozenset) -> "Poset":
+        # Labels and covers kept as built, not validated: distinct strings,
+        # and the transitive reduction of an order on linearly-extended indices.
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "labels", labels)
+        object.__setattr__(poset, "covers", covers)
+        return poset
 
     @property
     def n(self) -> int:
@@ -147,14 +186,24 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
     if len(order) != len(names):
         raise InputError("relations contain a cycle")
     position = {node: k for k, node in enumerate(order)}
-    reach = [0] * len(order)  # bit j of reach[k]: position j lies above position k
+    covers = _reduction([[position[v] for v in above[node]] for node in order])
+    return Poset._of(tuple(names[node] for node in order), frozenset(covers))
+
+
+def _reduction(ups: Sequence[Iterable[int]]) -> list:
+    """The pairs (k, j), j in ``ups[k]``, that no chain through the other pairs implies.
+
+    Every j in ``ups[k]`` must exceed k.  Taken in reverse index order from
+    bitsets of the indices each index reaches (Aho, Garey and Ullman).
+    """
+    reach = [0] * len(ups)  # bit j of reach[k]: index j lies above index k
     covers = []
-    for k in reversed(range(len(order))):
-        for j in sorted(position[v] for v in above[order[k]]):
+    for k in reversed(range(len(ups))):
+        for j in sorted(ups[k]):
             if not reach[k] >> j & 1:
                 covers.append((k, j))
                 reach[k] |= reach[j] | 1 << j
-    return Poset(labels=tuple(names[node] for node in order), covers=frozenset(covers))
+    return covers
 
 
 def bound(poset: Poset) -> BoundedPoset:

@@ -26,8 +26,19 @@ from .abelian import (
     structure,
     torsion_and_free_coordinates,
 )
-from .errors import InputError, as_integer, as_tuple, excerpt, integer_vector
+from .errors import InputError, LimitExceededError, as_integer, as_tuple, excerpt, integer_vector
 from .exact_linalg import IntMatrix
+
+# The most form entries (forms x dimension) a built-in family may build.
+FORM_ENTRY_LIMIT = 10**6
+
+
+def _check_family_size(family: str, forms: int, dim: int) -> None:
+    if forms * dim > FORM_ENTRY_LIMIT:
+        raise LimitExceededError(
+            f"{family} would build {excerpt(forms)} forms of dimension {excerpt(dim)}, "
+            f"past the limit of {FORM_ENTRY_LIMIT} form entries"
+        )
 
 
 def normalize_form(v: Sequence[int], interior: Optional[Sequence[int]] = None) -> tuple:
@@ -139,11 +150,13 @@ def veronese_cone(n: int, r: int) -> ConeDescription:
     Forms in coordinates (x_1, ..., x_{n-1}, t): the unit forms x_i >= 0
     and -(x_1 + ... + x_{n-1}) + r t >= 0.  For n = 1 the single form (r)
     normalizes to (1): the cone is a ray and the ring is a polynomial ring
-    in one variable, so the r-dependence vanishes.
+    in one variable, so the r-dependence vanishes.  Past ``FORM_ENTRY_LIMIT``
+    form entries (n > 1000) it raises ``LimitExceededError`` before building.
     """
     n, r = as_integer(n, "n"), as_integer(r, "r")
     if n < 1 or r < 1:
         raise InputError("veronese_cone requires n >= 1 and r >= 1")
+    _check_family_size("veronese_cone", n, n)
     forms = [tuple(int(j == i) for j in range(n)) for i in range(n - 1)]
     forms.append((-1,) * (n - 1) + (r,))
     interior = (1,) * (n - 1) + (n,)
@@ -157,6 +170,8 @@ def segre_veronese_cone(m: int, p: int, n: int, q: int) -> ConeDescription:
     (x_1..x_{m-1}, y_1..y_{n-1}, t) and the m + n facet forms are the unit
     forms on the x_i and y_j together with
     -(x_1 + ... + x_{m-1}) + p t  and  -(y_1 + ... + y_{n-1}) + q t.
+    Past ``FORM_ENTRY_LIMIT`` form entries it raises ``LimitExceededError``
+    before building.
     """
     m, n = as_integer(m, "m"), as_integer(n, "n")
     p, q = as_integer(p, "p"), as_integer(q, "q")
@@ -165,6 +180,7 @@ def segre_veronese_cone(m: int, p: int, n: int, q: int) -> ConeDescription:
     if p < 1 or q < 1:
         raise InputError("segre_veronese_cone requires p >= 1 and q >= 1")
     dim = m + n - 1
+    _check_family_size("segre_veronese_cone", m + n, dim)
     forms = [tuple(int(j == i) for j in range(dim)) for i in range(m + n - 2)]
     forms.append((-1,) * (m - 1) + (0,) * (n - 1) + (p,))
     forms.append((0,) * (m - 1) + (-1,) * (n - 1) + (q,))

@@ -367,6 +367,8 @@ def test_family_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, ["family", "determinantal", "--m", "5", "--n", "2"])
     assert code == 1
+    code, out, err = run_cli(capsys, ["family", "veronese", "--n", "1001", "--r", "2"])
+    assert (code, out) == (1, "") and "form entries" in err
 
 
 def test_sweep_small(capsys):
@@ -415,6 +417,28 @@ def test_text_output(capsys):
     code, out, _ = run_cli(capsys, ["family", "veronese", "--n", "4", "--r", "6", "--output", "text"])
     assert code == 0
     assert "torsion_number: 2" in out
+
+
+def test_one_parser_serves_many_calls(capsys):
+    import divclass.cli as cli_module
+
+    assert cli_module.build_parser() is cli_module.build_parser()
+    two_chains = ["family", "two-chains", "--a", "1", "--b", "2"]
+    code, out, _ = run_cli(capsys, ["--output", "text", *two_chains])
+    assert code == 0 and "torsion_number: 1" in out
+    code, out, _ = run_cli(capsys, two_chains)
+    assert code == 0 and json.loads(out)["torsion_number"] == "1"
+
+    code, out, _ = run_cli(capsys, ["sweep", "--count", "3"])
+    assert code == 0 and json.loads(out)["count"] == 3
+    code, out, _ = run_cli(capsys, ["sweep"])
+    assert code == 0 and json.loads(out)["count"] == 200
+
+    code, usual, _ = run_cli(capsys, two_chains)
+    assert code == 0
+    code, out, err = run_cli(capsys, [*two_chains, "--nosuch"])
+    assert (code, out) == (1, "") and "--nosuch" in err
+    assert run_cli(capsys, two_chains) == (0, usual, "")
 
 
 def test_unknown_flag_is_input_error(capsys):

@@ -5,6 +5,7 @@ import pytest
 from divclass import (
     InputError,
     LimitExceededError,
+    Poset,
     bound,
     build_poset,
     maximal_chains,
@@ -50,6 +51,51 @@ def test_relation_that_is_not_a_pair_rejected(relation):
     # set in hash order and a mapping into its keys
     with pytest.raises(InputError, match="not a pair"):
         build_poset(["a", "b"], [relation])
+
+
+@pytest.mark.parametrize(
+    "labels, covers",
+    [
+        (("a", "b", "c"), {(0, 1), (1, 2), (0, 2)}),
+        (("a", "b"), {(1, 0)}),
+        (("a", "a"), set()),
+        (("a", "b"), {(0, 2)}),
+        (("a", "b"), {(-1, 1)}),
+        (("a", "b"), {(0, 0)}),
+        (("a", "b"), {(False, True)}),
+        (("a", "b"), {(0, 1, 1)}),
+        (("a", "b"), {"01"}),
+        ((1, 2), set()),
+        (["a", "b"], set()),
+    ],
+    ids=[
+        "implied cover",
+        "descending cover",
+        "repeated label",
+        "cover out of range",
+        "negative index",
+        "reflexive cover",
+        "bool indices",
+        "triple",
+        "string pair",
+        "non-string labels",
+        "label list",
+    ],
+)
+def test_malformed_poset_rejected_on_construction(labels, covers):
+    # a directly built Poset is held to what build_poset guarantees: the
+    # chain a < b < c with its implied cover (0, 2) would otherwise get the
+    # class group Z where the chain's is 0
+    with pytest.raises(InputError):
+        Poset(labels=labels, covers=frozenset(covers))
+
+
+def test_covers_must_be_a_frozenset():
+    with pytest.raises(InputError, match="frozenset"):
+        Poset(labels=("a", "b"), covers={(0, 1)})
+    assert Poset(labels=("a", "b", "c"), covers=frozenset({(0, 1), (1, 2)})) == build_poset(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]
+    )
 
 
 def _messy_relations(rng, n):

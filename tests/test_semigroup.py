@@ -12,6 +12,7 @@ from divclass import (
     GroupStructure,
     InputError,
     IntMatrix,
+    LimitExceededError,
     bound,
     cone_report,
     determinantal_invariants,
@@ -117,6 +118,21 @@ def test_segre_builder():
         segre_veronese_cone(1, 2, 3, 1)
     with pytest.raises(InputError):
         segre_veronese_cone(2, 0, 2, 1)
+
+
+def test_family_builders_refuse_past_the_form_entry_limit():
+    # n forms of dimension n: refused before anything n x n is built
+    for build in (lambda: veronese_cone(1001, 2), lambda: segre_veronese_cone(500, 1, 501, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError, match="limit of 1000000 form entries"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert len(veronese_cone(1000, 1).forms) == 1000
+    assert segre_veronese_cone(500, 1, 500, 1).dim == 999
 
 
 def test_segre_2222_is_gorenstein():
