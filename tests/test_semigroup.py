@@ -120,7 +120,7 @@ def test_segre_builder():
         segre_veronese_cone(2, 0, 2, 1)
 
 
-def test_family_builders_refuse_past_the_form_entry_limit():
+def test_families_refuse_past_the_form_entry_limit():
     # n forms of dimension n: refused before anything n x n is built
     for build in (lambda: veronese_cone(1001, 2), lambda: segre_veronese_cone(500, 1, 501, 1)):
         tracemalloc.start()
