@@ -449,13 +449,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 row = d[i]
                 q = row[t] // p
                 if q:
-                    get = row.get
-                    for k, b in top.items():
-                        e = get(k, 0) - q * b
-                        if e:
-                            row[k] = e
-                        else:
-                            del row[k]
+                    _add_multiple(row, top, -q)
                     ops.append(("row", t, i, q))
                 if t in row:
                     remainders.append(row)

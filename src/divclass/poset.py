@@ -63,15 +63,6 @@ class Poset:
         if implied:
             raise InputError(f"cover {excerpt(min(implied))} is implied by the other covers")
 
-    @classmethod
-    def _of(cls, labels: tuple, covers: frozenset) -> "Poset":
-        # Labels and covers kept as built, not validated: distinct strings,
-        # and the transitive reduction of an order on linearly-extended indices.
-        poset = object.__new__(cls)
-        object.__setattr__(poset, "labels", labels)
-        object.__setattr__(poset, "covers", covers)
-        return poset
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -187,7 +178,7 @@ def build_poset(names: Iterable[str], relations: Iterable[Sequence] = ()) -> Pos
         raise InputError("relations contain a cycle")
     position = {node: k for k, node in enumerate(order)}
     covers = _reduction([[position[v] for v in above[node]] for node in order])
-    return Poset._of(tuple(names[node] for node in order), frozenset(covers))
+    return Poset(tuple(names[node] for node in order), frozenset(covers))
 
 
 def _reduction(ups: Sequence[Iterable[int]]) -> list:
