@@ -52,7 +52,8 @@ class Poset:
             if not (
                 isinstance(pair, tuple)
                 and len(pair) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+                and type(pair[0]) is int  # exactly int, so no bool
+                and type(pair[1]) is int
                 and 0 <= pair[0] < pair[1] < n
             ):
                 raise InputError(
