@@ -13,6 +13,8 @@ decimal strings, printed in full.  Exit codes:
 
 One argument parser serves the whole process: ``main`` builds it on its
 first call and every later call reuses it, with a fresh namespace per parse.
+That saves time only where ``main`` runs more than once in one process; a
+one-shot command builds the parser once either way.
 """
 
 from __future__ import annotations
