@@ -70,8 +70,12 @@ def _relation_rows(extension: BoundedPoset) -> list:
 
 
 def relation_matrix(extension: BoundedPoset) -> IntMatrix:
-    """Relation matrix of the class group: one row per Hasse edge, columns z_0..z_n."""
-    return IntMatrix(_relation_rows(extension), cols=extension.top)
+    """Relation matrix of the class group: one row per Hasse edge, columns z_0..z_n.
+
+    The rows are built through the trusted constructor: each is a fresh dict
+    of nonzero ``±1`` entries at columns below ``extension.top``.
+    """
+    return IntMatrix._of(extension.top, _relation_rows(extension))
 
 
 def _check_spans(extension: BoundedPoset, tree: SpanningTree, error: type) -> None:

@@ -1,12 +1,16 @@
 """Randomized property sweep over posets.
 
 The theorems the library rests on are checked as executable properties of
-seeded random posets, through the full join-meet pipeline.  Every check
-reads only the poset's structure, its size n and its canonical covers, so
-each distinct structure is evaluated once per ``run_sweep`` call, keyed by
-``(n, covers)``, and its outcomes are recorded for every sample that has
-it, under the sample's own index and poset.  Any failure is a bug somewhere, never a property of
-the poset; offending posets are serialized so a failure can be replayed.
+seeded random posets, through the full join-meet pipeline.  A sample is a
+draw, ``draw_relations``: its size n and its relations as index pairs, read
+off one RNG stream, which ``build_drawn`` turns into a canonical poset;
+``random_poset`` does both.  Small draws repeat often, so each distinct
+draw is built once per ``run_sweep`` call.  Every check reads only the
+poset's structure, its size n and its canonical covers, so each distinct
+structure is evaluated once per call, keyed by ``(n, covers)``, and its
+outcomes are recorded for every sample that has it, under the sample's own
+index and poset.  Any failure is a bug somewhere, never a property of the
+poset; offending posets are serialized so a failure can be replayed.
 """
 
 from __future__ import annotations
@@ -27,22 +31,34 @@ CHECKS = (
 )
 
 
-def random_poset(rng: random.Random, max_n: int) -> Poset:
-    """Random DAG by edge probability, canonicalized through build_poset.
+def draw_relations(rng: random.Random, max_n: int) -> tuple:
+    """One random DAG by edge probability, as ``(n, relations)``.
 
-    The element order is shuffled before edges are drawn so the stable
-    relabeling is actually exercised.
+    ``relations`` is a tuple of index pairs ``(a, b)``, meaning element
+    ``e{a}`` lies below ``e{b}``.  The element order is shuffled before
+    edges are drawn so the stable relabeling of ``build_poset`` is actually
+    exercised.
     """
     n = rng.randint(0, max_n)
-    names = [f"e{i}" for i in range(n)]
     density = rng.choice((0.0, 0.1, 0.2, 0.35, 0.5, 0.75))
     order = rng.sample(range(n), n)
     relations = []
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
-                relations.append((names[order[i]], names[order[j]]))
-    return build_poset(names, relations)
+                relations.append((order[i], order[j]))
+    return n, tuple(relations)
+
+
+def build_drawn(n: int, relations: tuple) -> Poset:
+    """The canonical poset of a draw: elements ``e0``..``e{n-1}``, through build_poset."""
+    names = [f"e{i}" for i in range(n)]
+    return build_poset(names, [(names[a], names[b]) for a, b in relations])
+
+
+def random_poset(rng: random.Random, max_n: int) -> Poset:
+    """Random DAG by edge probability, canonicalized through build_poset."""
+    return build_drawn(*draw_relations(rng, max_n))
 
 
 def poset_document(poset: Poset) -> dict:
@@ -129,11 +145,12 @@ def _evaluate(poset: Poset) -> tuple:
 def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
     """Evaluate every property on ``count`` seeded random posets.
 
-    Each distinct structure is evaluated once per call, keyed by
-    ``(poset.n, poset.covers)``: ``build_poset`` makes the covers a canonical
-    frozenset, so two samples share a key exactly when they share a
-    structure.  Every sample records its structure's outcomes under its own
-    index and poset.
+    Each distinct draw is built once per call, and samples that repeat it
+    share its ``Poset``.  Each distinct structure is evaluated once per
+    call, keyed by ``(poset.n, poset.covers)``: ``build_poset`` makes the
+    covers a canonical frozenset, so two samples share a key exactly when
+    they share a structure.  Every sample records its structure's outcomes
+    under its own index and poset.
     """
     count = as_integer(count, "sweep count")
     max_n = as_integer(max_n, "sweep max_n")
@@ -144,13 +161,19 @@ def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
         raise InputError("sweep max_n must be between 0 and 10")
     rng = random.Random(seed)
     summary = SweepSummary(count=count, max_n=max_n, seed=seed)
+    built = {}  # draw -> (its poset, its structure's outcomes)
     outcomes_of = {}
     for index in range(count):
-        poset = random_poset(rng, max_n)
-        key = (poset.n, poset.covers)
-        outcomes = outcomes_of.get(key)
-        if outcomes is None:
-            outcomes = outcomes_of[key] = _evaluate(poset)
+        drawn = draw_relations(rng, max_n)
+        entry = built.get(drawn)
+        if entry is None:
+            poset = build_drawn(*drawn)
+            key = (poset.n, poset.covers)
+            outcomes = outcomes_of.get(key)
+            if outcomes is None:
+                outcomes = outcomes_of[key] = _evaluate(poset)
+            entry = built[drawn] = (poset, outcomes)
+        poset, outcomes = entry
         for check, ok, message in outcomes:
             summary.record(check, ok, index, poset, message)
     return summary

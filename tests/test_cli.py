@@ -148,6 +148,20 @@ def test_analyze_name_with_lone_surrogate_is_input_error(capsys, monkeypatch):
             argv = ["--output", output, "analyze"]
             code, out, err = run_cli(capsys, argv, stdin=json.dumps(doc), monkeypatch=monkeypatch)
             assert code == 1 and out == "" and err.startswith("error: ")
+    # a bad element and a bad relation name: the element, first in order, is quoted
+    doc = {"mode": "poset", "elements": ["a", "b\udc00"], "relations": [["a", "\ud801"]]}
+    code, out, err = run_cli(capsys, ["analyze"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: name 'b\\udc00' does not encode as UTF-8\n"
+    # a high and a low surrogate ending and starting adjacent names: joined,
+    # they read as one pair in UTF-16, yet each name alone is still refused
+    for doc in (
+        {"mode": "poset", "elements": ["a\ud800", "\udc00b"], "relations": []},
+        {"mode": "poset", "elements": ["a", "b"], "relations": [["a\ud800", "\udc00b"]]},
+    ):
+        code, out, err = run_cli(capsys, ["analyze"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: name 'a\\ud800' does not encode as UTF-8\n"
 
 
 def test_analyze_deeply_nested_json_is_input_error(capsys, monkeypatch):

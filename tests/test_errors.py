@@ -14,7 +14,7 @@ from divclass import (
     run_sweep,
     solve_integer,
 )
-from divclass.errors import excerpt
+from divclass.errors import as_tuple, excerpt, integer_vector
 
 M = IntMatrix.from_rows([[1, 2], [3, 4]])
 
@@ -43,6 +43,10 @@ M = IntMatrix.from_rows([[1, 2], [3, 4]])
         lambda: IntMatrix.from_rows([b"\x01\x02"]),
         lambda: M[(0,)],
         lambda: M[0, 1, 2],
+        lambda: as_tuple("ab", "vector"),
+        lambda: as_tuple(b"ab", "vector"),
+        lambda: as_tuple({0: 1}, "vector"),
+        lambda: as_tuple({1, 2}, "vector"),
     ],
     ids=[
         "cone-forms",
@@ -66,6 +70,10 @@ M = IntMatrix.from_rows([[1, 2], [3, 4]])
         "row-as-bytes",
         "index-too-short",
         "index-too-long",
+        "str-as-tuple",
+        "bytes-as-tuple",
+        "dict-as-tuple",
+        "set-as-tuple",
     ],
 )
 def test_malformed_containers_are_input_errors(build):
@@ -85,13 +93,59 @@ def test_malformed_containers_are_input_errors(build):
         lambda: run_sweep(True, 3, 1),
         lambda: fitting_number(AbelianPresentation(M), True),
         lambda: ClassElement((True, 2)),
+        lambda: integer_vector((1, True), "vector"),
+        lambda: integer_vector([0, False], "vector"),
     ],
-    ids=["cone-dimension", "entry", "column", "sweep-count", "fitting-index", "coordinate"],
+    ids=[
+        "cone-dimension",
+        "entry",
+        "column",
+        "sweep-count",
+        "fitting-index",
+        "coordinate",
+        "tuple-entry",
+        "list-entry",
+    ],
 )
 def test_bools_are_not_integers(build):
     # each was read as 0 or 1, while the command line refuses a JSON true
     with pytest.raises(InputError):
         build()
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ((1, -2), (1, -2)),
+        ([1, -2], (1, -2)),
+        (_Tuple((1, -2)), (1, -2)),
+        (_List([1, -2]), (1, -2)),
+        ((_Int(3), 4), (3, 4)),
+        ((2**200, -(2**200)), (2**200, -(2**200))),
+        ([2**200], (2**200,)),
+        ((), ()),
+    ],
+    ids=["tuple", "list", "tuple-subclass", "list-subclass", "int-subclass", "huge", "huge-list", "empty"],
+)
+def test_integer_vectors_read_as_exact_int_tuples(values, expected):
+    # the fast path for exact tuples, lists and ints gives what the general
+    # path gives: an exact tuple of exact ints, each value unchanged
+    result = integer_vector(values, "vector")
+    assert result == expected and type(result) is tuple
+    assert all(type(x) is int for x in result)
+    assert as_tuple(values, "vector") == tuple(values) and type(as_tuple(values, "vector")) is tuple
 
 
 HUGE = 10**5000  # past the interpreter's 4,300-digit limit for writing an int out

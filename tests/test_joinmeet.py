@@ -30,7 +30,8 @@ from divclass import (
 )
 from divclass import joinmeet, poset
 from divclass.cli import main
-from divclass.sweep import CHECKS, random_poset, run_sweep
+from divclass.joinmeet import _relation_rows
+from divclass.sweep import CHECKS, draw_relations, random_poset, run_sweep
 from oracles import dense_class_expressions, layered_poset
 
 
@@ -64,6 +65,15 @@ def test_relation_matrix_examples():
     )
     assert relation_matrix(bound(build_poset(["x1"]))) == IntMatrix.from_rows([[1, -1], [0, 1]])
     assert relation_matrix(bound(build_poset([]))) == IntMatrix.from_rows([[1]])
+
+
+def test_trusted_relation_matrix_matches_the_validating_constructor():
+    rng = random.Random(1)
+    for _ in range(300):
+        extension = bound(random_poset(rng, 10))
+        validated = IntMatrix(_relation_rows(extension), cols=extension.top)
+        matrix = relation_matrix(extension)
+        assert matrix == validated and hash(matrix) == hash(validated)
 
 
 def test_choose_tree_chain():
@@ -481,13 +491,16 @@ def calls(monkeypatch):
 
 
 def test_sweep_builds_each_step_once_per_structure(calls):
-    # every sample is built; the report steps run once per distinct (n, covers)
+    # each distinct draw is built once; the report steps run once per
+    # distinct (n, covers)
+    rng = random.Random(1)
+    draws = {draw_relations(rng, 7) for _ in range(100)}
     rng = random.Random(1)
     distinct = {(p.n, p.covers) for p in (random_poset(rng, 7) for _ in range(100))}
     calls.clear()
     run_sweep(100, 7, 1)
-    assert len(distinct) < 100
-    assert calls["build_poset"] == 100
+    assert len(distinct) < len(draws) < 100
+    assert calls["build_poset"] == len(draws)
     assert {step: calls[step] for step in STEPS} == {step: len(distinct) for step in STEPS}
 
 

@@ -8,7 +8,7 @@ import divclass.sweep as sweep_module
 from divclass import InputError, build_poset, two_chains_poset
 from divclass.cli import main
 from divclass.errors import InternalInvariantError
-from divclass.sweep import poset_document, random_poset, run_sweep
+from divclass.sweep import SweepSummary, draw_relations, poset_document, random_poset, run_sweep
 
 from oracles import per_sample_sweep
 
@@ -88,6 +88,36 @@ def test_each_distinct_structure_is_evaluated_once(monkeypatch):
     assert run_sweep(3000, 10, 1).all_passed
     distinct = {(p.n, p.covers) for p in samples(3000, 10, 1)}
     assert len(seen) == len(set(seen)) == len(distinct) == 1169
+
+
+def test_each_distinct_draw_is_built_once(monkeypatch):
+    built = []
+    original_build = sweep_module.build_poset
+
+    def counting_build(*args):
+        built.append(args)
+        return original_build(*args)
+
+    monkeypatch.setattr(sweep_module, "build_poset", counting_build)
+    recorded = {}  # sample index -> the Poset it records under
+    original_record = SweepSummary.record
+
+    def record(self, check, ok, index, poset, message=""):
+        recorded.setdefault(index, poset)
+        assert recorded[index] is poset
+        return original_record(self, check, ok, index, poset, message)
+
+    monkeypatch.setattr(SweepSummary, "record", record)
+    assert run_sweep(3000, 10, 1).all_passed
+    rng = random.Random(1)
+    draws = [draw_relations(rng, 10) for _ in range(3000)]
+    assert len(built) == len(set(draws)) == 1467
+    # samples share one Poset exactly when they share a draw
+    poset_of = {}
+    for index, drawn in enumerate(draws):
+        assert poset_of.setdefault(drawn, recorded[index]) is recorded[index]
+    assert len({id(p) for p in poset_of.values()}) == 1467
+    assert [recorded[i] for i in range(3000)] == samples(3000, 10, 1)
 
 
 def test_forced_failure_reaches_every_sample_of_its_structure(monkeypatch):
