@@ -99,25 +99,14 @@ def parse_input_document(obj):
             raise InputError('"relations" must be an array of string pairs')
         pairs = []
         for rel in relations:
-            if not (
-                isinstance(rel, list)
-                and len(rel) == 2
-                and isinstance(rel[0], str)
-                and isinstance(rel[1], str)
-            ):
+            if not (isinstance(rel, list) and len(rel) == 2 and all(isinstance(x, str) for x in rel)):
                 raise InputError(f"relation {excerpt(rel)} is not a pair of element names")
             pairs.append(tuple(rel))
-        names = elements + [x for pair in pairs for x in pair]
-        try:
-            # one call for the document; a str never pairs two surrogates of
-            # adjacent names, so the join fails exactly when some name does
-            "".join(names).encode("utf-8")
-        except UnicodeEncodeError:
-            for name in names:  # quote the first name that fails
-                try:
-                    name.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise InputError(f"name {excerpt(name)} does not encode as UTF-8") from None
+        for name in elements + [x for pair in pairs for x in pair]:
+            try:
+                name.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InputError(f"name {excerpt(name)} does not encode as UTF-8") from None
         return build_poset(elements, pairs)
     if present & poset_fields:
         raise InputError("cone mode must not carry poset fields")

@@ -1,12 +1,4 @@
-"""Exception hierarchy shared by the whole package, its input guards, and the excerpt they quote.
-
-The guards take a fast path for exact built-in types: ``as_tuple`` returns
-an exact tuple as it is and converts an exact list at once, and
-``integer_vector`` returns its tuple as it is when every entry is an exact
-``int``.  The results are the ones the general path gives, since
-``operator.index`` returns an exact int unchanged; bools, subclasses and
-every other type still take the general path, with its errors.
-"""
+"""Exception hierarchy shared by the whole package, its input guards, and the excerpt they quote."""
 
 import operator
 import reprlib
@@ -71,11 +63,6 @@ def as_tuple(value, what: str) -> tuple:
     A string, bytes, mapping or set iterates as characters, keys or in hash
     order, never as the entries it seems to hold, so each is refused.
     """
-    kind = type(value)
-    if kind is tuple:
-        return value
-    if kind is list:
-        return tuple(value)
     if not isinstance(value, (str, bytes, Mapping, Set)):
         try:
             return tuple(value)
@@ -86,8 +73,5 @@ def as_tuple(value, what: str) -> tuple:
 
 def integer_vector(values, what: str, entry: str = "entry") -> tuple:
     """``values`` as a tuple of ints: ``as_tuple`` on the vector, ``as_integer`` on each entry."""
-    values = as_tuple(values, what)
-    if all(type(x) is int for x in values):
-        return values
     label = f"{what} {entry}"
-    return tuple(as_integer(x, label) for x in values)
+    return tuple(as_integer(x, label) for x in as_tuple(values, what))

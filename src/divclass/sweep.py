@@ -9,7 +9,7 @@ draw is built once per ``run_sweep`` call.  Every check reads only the
 poset's structure, its size n and its canonical covers, so each distinct
 structure is evaluated once per call, keyed by ``(n, covers)``, and its
 outcomes are recorded for every sample that has it, under the sample's own
-index and poset.  Any failure is a bug somewhere, never a property of the
+index.  Any failure is a bug somewhere, never a property of the
 poset; offending posets are serialized so a failure can be replayed.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import InputError, InternalInvariantError, as_integer
 from .joinmeet import joinmeet_report
@@ -82,7 +83,8 @@ class SweepSummary:
     def all_passed(self) -> bool:
         return not self.failures
 
-    def record(self, check: str, ok: bool, index: int, poset: Poset, message: str = ""):
+    def record(self, check: str, ok: bool, index: int, poset: Poset | None, message: str = ""):
+        """Count one outcome; a failure also keeps ``poset``, which only a failure reads."""
         self.attempts[check] = self.attempts.get(check, 0) + 1
         if ok:
             self.passes[check] = self.passes.get(check, 0) + 1
@@ -145,12 +147,13 @@ def _evaluate(poset: Poset) -> tuple:
 def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
     """Evaluate every property on ``count`` seeded random posets.
 
-    Each distinct draw is built once per call, and samples that repeat it
-    share its ``Poset``.  Each distinct structure is evaluated once per
-    call, keyed by ``(poset.n, poset.covers)``: ``build_poset`` makes the
-    covers a canonical frozenset, so two samples share a key exactly when
-    they share a structure.  Every sample records its structure's outcomes
-    under its own index and poset.
+    Each distinct draw is built once per call, and only its structure's
+    outcomes are kept; a sample that repeats a draw rebuilds its ``Poset``
+    only if a check fails and must quote it.  Each distinct structure is
+    evaluated once per call, keyed by ``(poset.n, poset.covers)``:
+    ``build_poset`` makes the covers a canonical frozenset, so two samples
+    share a key exactly when they share a structure.  Every sample records
+    its structure's outcomes under its own index.
     """
     count = as_integer(count, "sweep count")
     max_n = as_integer(max_n, "sweep max_n")
@@ -161,19 +164,24 @@ def run_sweep(count: int, max_n: int, seed: int) -> SweepSummary:
         raise InputError("sweep max_n must be between 0 and 10")
     rng = random.Random(seed)
     summary = SweepSummary(count=count, max_n=max_n, seed=seed)
-    built = {}  # draw -> (its poset, its structure's outcomes)
+    outcomes_of_draw = {}
     outcomes_of = {}
     for index in range(count):
-        drawn = draw_relations(rng, max_n)
-        entry = built.get(drawn)
-        if entry is None:
+        n, relations = drawn = draw_relations(rng, max_n)
+        # the draw packed as bytes, n and then each pair's indices, all at
+        # most 10: two bytes a pair, where a tuple of pairs keeps some 64
+        packed = bytes([n, *chain.from_iterable(relations)])
+        poset = None
+        outcomes = outcomes_of_draw.get(packed)
+        if outcomes is None:
             poset = build_drawn(*drawn)
             key = (poset.n, poset.covers)
             outcomes = outcomes_of.get(key)
             if outcomes is None:
                 outcomes = outcomes_of[key] = _evaluate(poset)
-            entry = built[drawn] = (poset, outcomes)
-        poset, outcomes = entry
+            outcomes_of_draw[packed] = outcomes
         for check, ok, message in outcomes:
+            if not ok and poset is None:
+                poset = build_drawn(*drawn)  # a failure quotes its sample's poset
             summary.record(check, ok, index, poset, message)
     return summary

@@ -153,8 +153,8 @@ def test_analyze_name_with_lone_surrogate_is_input_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["analyze"], stdin=json.dumps(doc), monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert err == "error: name 'b\\udc00' does not encode as UTF-8\n"
-    # a high and a low surrogate ending and starting adjacent names: joined,
-    # they read as one pair in UTF-16, yet each name alone is still refused
+    # a high and a low surrogate ending and starting adjacent names: each
+    # name alone is refused, though the two would pair in UTF-16
     for doc in (
         {"mode": "poset", "elements": ["a\ud800", "\udc00b"], "relations": []},
         {"mode": "poset", "elements": ["a", "b"], "relations": [["a\ud800", "\udc00b"]]},

@@ -140,8 +140,8 @@ class _Int(int):
     ids=["tuple", "list", "tuple-subclass", "list-subclass", "int-subclass", "huge", "huge-list", "empty"],
 )
 def test_integer_vectors_read_as_exact_int_tuples(values, expected):
-    # the fast path for exact tuples, lists and ints gives what the general
-    # path gives: an exact tuple of exact ints, each value unchanged
+    # tuples, lists and their subclasses read as an exact tuple of exact
+    # ints, each value unchanged
     result = integer_vector(values, "vector")
     assert result == expected and type(result) is tuple
     assert all(type(x) is int for x in result)

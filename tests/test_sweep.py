@@ -8,7 +8,7 @@ import divclass.sweep as sweep_module
 from divclass import InputError, build_poset, two_chains_poset
 from divclass.cli import main
 from divclass.errors import InternalInvariantError
-from divclass.sweep import SweepSummary, draw_relations, poset_document, random_poset, run_sweep
+from divclass.sweep import draw_relations, poset_document, random_poset, run_sweep
 
 from oracles import per_sample_sweep
 
@@ -99,25 +99,15 @@ def test_each_distinct_draw_is_built_once(monkeypatch):
         return original_build(*args)
 
     monkeypatch.setattr(sweep_module, "build_poset", counting_build)
-    recorded = {}  # sample index -> the Poset it records under
-    original_record = SweepSummary.record
-
-    def record(self, check, ok, index, poset, message=""):
-        recorded.setdefault(index, poset)
-        assert recorded[index] is poset
-        return original_record(self, check, ok, index, poset, message)
-
-    monkeypatch.setattr(SweepSummary, "record", record)
     assert run_sweep(3000, 10, 1).all_passed
     rng = random.Random(1)
     draws = [draw_relations(rng, 10) for _ in range(3000)]
+    # one build per distinct draw, in the order the draws first appear
     assert len(built) == len(set(draws)) == 1467
-    # samples share one Poset exactly when they share a draw
-    poset_of = {}
-    for index, drawn in enumerate(draws):
-        assert poset_of.setdefault(drawn, recorded[index]) is recorded[index]
-    assert len({id(p) for p in poset_of.values()}) == 1467
-    assert [recorded[i] for i in range(3000)] == samples(3000, 10, 1)
+    names = [f"e{i}" for i in range(10)]
+    assert built == [
+        (names[:n], [(names[a], names[b]) for a, b in relations]) for n, relations in dict.fromkeys(draws)
+    ]
 
 
 def test_forced_failure_reaches_every_sample_of_its_structure(monkeypatch):
@@ -126,6 +116,10 @@ def test_forced_failure_reaches_every_sample_of_its_structure(monkeypatch):
     posets = samples(300, 4, 3)
     hits = [index for index, p in enumerate(posets) if (p.n, p.covers) == target]
     assert len(hits) == 10
+    # some hits repeat an earlier draw, whose poset is rebuilt to be quoted
+    rng = random.Random(3)
+    draws = [draw_relations(rng, 4) for _ in range(300)]
+    assert len({draws[index] for index in hits}) < 10
     original = sweep_module.joinmeet_report
 
     def broken(poset):
