@@ -12,7 +12,14 @@ form
 and the class group is generated by the corresponding height-one prime
 classes [P_e] subject to the coefficient columns of those forms.  It is
 always free of rank |E| - (n + 1).  ``relation_matrix`` holds each form
-once, as the row of its edge in the order of ``bound``.
+once, as the row of its edge in the order of ``bound``.  The report
+eliminates the same rows top-down, by descending upper endpoint, with the
+columns numbered by first appearance (``_top_down_matrix``): each row then
+meets the pivot search with its upper endpoint's column already cleared, so
+every pivot is a lone +1 on the diagonal, and the elimination logs no fill,
+no column operation and at most two row additions per edge.  Reordering
+rows and columns changes neither the group nor the torsion number of the
+all-ones canonical class.
 
 A spanning tree of the Hasse diagram assigning one upward edge to each
 vertex below the top makes the tree rows of the relation matrix upper
@@ -78,6 +85,26 @@ def relation_matrix(extension: BoundedPoset) -> IntMatrix:
     return IntMatrix._of(extension.top, _relation_rows(extension))
 
 
+def _top_down_matrix(extension: BoundedPoset) -> IntMatrix:
+    """The rows of ``relation_matrix`` top-down, its columns renumbered by first appearance.
+
+    The edges are taken by descending upper endpoint, ties by descending
+    lower endpoint, and each vertex's column is numbered where it first
+    shows up in that order.  Every vertex below the top is the lower
+    endpoint of some edge, so the columns are a bijection onto z_0..z_n,
+    and each row stays a fresh dict of nonzero ``±1`` entries for the
+    trusted constructor.  A vertex shows up first in its up-edge of largest
+    upper endpoint, which is where the elimination pivots on it: the Smith
+    route runs along each vertex's largest up-cover, ``choose_tree`` along
+    its smallest.
+    """
+    edges, rows = extension.edges, _relation_rows(extension)
+    order = sorted(range(len(edges)), key=lambda k: (edges[k][1], edges[k][0]), reverse=True)
+    column: dict = {}
+    top_down = [{column.setdefault(c, len(column)): e for c, e in rows[k].items()} for k in order]
+    return IntMatrix._of(extension.top, top_down)
+
+
 def _check_spans(extension: BoundedPoset, tree: SpanningTree, error: type) -> None:
     """Raise ``error`` unless ``tree`` spans ``extension``, one upward edge per vertex in order."""
     if sorted(tree.tree_edges + tree.nontree_edges) != sorted(extension.edges):
@@ -129,6 +156,11 @@ def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpre
     span ``extension`` is an ``InputError``.
     """
     _check_spans(extension, tree, InputError)
+    return _class_expressions(extension, tree)
+
+
+def _class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpression:
+    """``class_expressions`` of a tree already known to span ``extension``."""
     parent = [edge[1] for edge in tree.tree_edges]
     dep = [0] * (extension.top + 1)
     for v in reversed(range(len(parent))):  # every tree target is above its vertex
@@ -162,6 +194,11 @@ def verify_column_relations(
     of the signed tree rows along cycle j.
     """
     _check_spans(extension, tree, InputError)
+    return _relations_hold(extension, tree, expr)
+
+
+def _relations_hold(extension: BoundedPoset, tree: SpanningTree, expr: ClassExpression) -> bool:
+    """``verify_column_relations`` of a tree already known to span ``extension``."""
     if len(expr.cycles) != len(tree.nontree_edges):
         return False
     rows = dict(zip(extension.edges, _relation_rows(extension)))
@@ -185,9 +222,13 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     of rank |E| - (n + 1) and every cycle coefficient -1, 0 or 1: the
     sweep's ``rank_formula`` and ``cycle_coefficients``, checked only here.
     Any mismatch raises, since each one is a theorem.
+
+    The Fitting-ideal route eliminates ``_top_down_matrix``;
+    ``choose_tree`` checks its tree once, and the tree steps read it
+    unchecked.
     """
     extension = bound(poset)
-    matrix = relation_matrix(extension)
+    matrix = _top_down_matrix(extension)
     r = matrix.rows
     n = poset.n
     presentation = AbelianPresentation(matrix)
@@ -198,10 +239,10 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
             f"class group of a join-meet ring must be free of rank {expected_rank}, got {group}"
         )
     tree = choose_tree(extension)
-    expr = class_expressions(extension, tree)
+    expr = _class_expressions(extension, tree)
     if any(len({v for v, _ in cycle}) != len(cycle) for cycle in expr.cycles):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
-    if not verify_column_relations(extension, tree, expr):
+    if not _relations_hold(extension, tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
     canonical = ClassElement((1,) * r)
     d_tree = math.gcd(*expr.canonical_coords)

@@ -16,6 +16,7 @@ from divclass import (
     solve_integer,
 )
 from divclass import InternalInvariantError, exact_linalg
+from divclass.joinmeet import _top_down_matrix
 from divclass.sweep import random_poset
 
 from oracles import (
@@ -442,9 +443,13 @@ def matches_dense_elimination(A):
 
 
 def test_sparse_store_matches_dense_elimination_on_posets():
+    # each poset's relation matrix in the order of bound, and in the
+    # top-down order that joinmeet_report eliminates
     rng = random.Random(20261020)
     for _ in range(2000):
-        matches_dense_elimination(relation_matrix(bound(random_poset(rng, 10))))
+        extension = bound(random_poset(rng, 10))
+        matches_dense_elimination(relation_matrix(extension))
+        matches_dense_elimination(_top_down_matrix(extension))
 
 
 def test_sparse_store_matches_dense_elimination_on_small_matrices():
