@@ -59,7 +59,9 @@ print("reduced class group (quotient by the canonical class):",
 # Route 2: spanning tree and fundamental cycles.  Each vertex below the top
 # keeps one upward edge; the leftover edges index a basis of the class
 # group.  Each basis edge closes one cycle through the tree, and the signs
-# along the cycles expand every tree class in that basis.
+# along the cycles expand every tree class in that basis.  The tree carries
+# its extension and is checked once, when it is built, so the two steps
+# after it take the tree alone.
 tree = choose_tree(extension)
 print("\ntree edges (one per vertex below the top):")
 for u, v in tree.tree_edges:
@@ -68,7 +70,7 @@ print("nontree (basis) edges:")
 for u, v in tree.nontree_edges:
     print(f"  {extension.vertex_name(u)} -> {extension.vertex_name(v)}")
 
-expr = class_expressions(extension, tree)
+expr = class_expressions(tree)
 print("\nfundamental cycles (tree edges a basis edge closes, with their signs):")
 for (x, y), cycle in zip(tree.nontree_edges, expr.cycles):
     print(f"  {extension.vertex_name(x)} -> {extension.vertex_name(y)}:")
@@ -77,7 +79,7 @@ for (x, y), cycle in zip(tree.nontree_edges, expr.cycles):
         print(f"    {sign:+d} [{extension.vertex_name(u)} -> {extension.vertex_name(w)}]")
 print("canonical class over the basis:", expr.canonical_coords)
 print("expressions satisfy every defining relation?",
-      verify_column_relations(extension, tree, expr))
+      verify_column_relations(tree, expr))
 
 # The two routes must agree, and joinmeet_report has already cross-checked
 # them: it raises on any mismatch.

@@ -23,9 +23,12 @@ all-ones canonical class.
 
 A spanning tree of the Hasse diagram assigning one upward edge to each
 vertex below the top makes the tree rows of the relation matrix upper
-triangular with unit diagonal, so the nontree classes form a basis.  The
-signed tree edges on the fundamental cycle of each nontree edge, kept
-sparse, expand the tree classes in that basis with coefficients +1/-1/0.
+triangular with unit diagonal, so the nontree classes form a basis.  A
+``SpanningTree`` carries its extension and checks on construction that it
+is such a tree, so ``class_expressions`` and ``verify_column_relations``
+read it unchecked.  The signed tree edges on the fundamental cycle of each
+nontree edge, kept sparse, expand the tree classes in that basis with
+coefficients +1/-1/0.
 Summing all edge classes gives the canonical class; the gcd of its basis
 coordinates is the torsion number, which is also computed independently
 from Fitting ideals of the relation matrix and cross-checked.
@@ -37,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import AbelianPresentation, ClassElement, structure, torsion_number
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, as_tuple, excerpt
 from .exact_linalg import IntMatrix
 from .poset import BoundedPoset, Poset, bound
 from .semigroup import ClassGroupReport
@@ -45,14 +48,39 @@ from .semigroup import ClassGroupReport
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """One upward tree edge per vertex of the bounded poset except the top.
+    """One upward tree edge per vertex of ``extension`` except the top.
 
     ``tree_edges[v]`` is the edge chosen for vertex v (v = 0 is the bottom);
-    ``nontree_edges`` lists the remaining Hasse edges in enumeration order.
+    ``nontree_edges`` lists the remaining Hasse edges.  Both are read as
+    tuples on construction, which raises ``InputError`` unless together
+    they are the edges of ``extension``, each a pair of ints, and the tree
+    edges go up, one out of each vertex below the top in vertex order.
     """
 
+    extension: BoundedPoset
     tree_edges: tuple
     nontree_edges: tuple
+
+    def __post_init__(self):
+        extension = self.extension
+        if not isinstance(extension, BoundedPoset):
+            raise InputError(f"a spanning tree needs a BoundedPoset, got {excerpt(extension)}")
+        tree_edges = as_tuple(self.tree_edges, "tree edges")
+        nontree_edges = as_tuple(self.nontree_edges, "nontree edges")
+        object.__setattr__(self, "tree_edges", tree_edges)
+        object.__setattr__(self, "nontree_edges", nontree_edges)
+        edges = tree_edges + nontree_edges
+        for edge in edges:
+            if not (type(edge) is tuple and len(edge) == 2 and type(edge[0]) is type(edge[1]) is int):
+                raise InputError(f"tree edge {excerpt(edge)} is not a pair of int vertices")
+        if sorted(edges) != sorted(extension.edges):
+            raise InputError("tree edges do not partition the edge set")
+        if [source for source, _ in tree_edges] != list(range(extension.top)):
+            raise InputError("tree does not take one edge out of each vertex below the top")
+        for v, (_, target) in enumerate(tree_edges):
+            # upper triangular with unit diagonal: row v is z_v or z_v - z_target
+            if target <= v:
+                raise InputError(f"tree row {v} is not upper triangular")
 
 
 @dataclass(frozen=True)
@@ -105,18 +133,6 @@ def _top_down_matrix(extension: BoundedPoset) -> IntMatrix:
     return IntMatrix._of(extension.top, top_down)
 
 
-def _check_spans(extension: BoundedPoset, tree: SpanningTree, error: type) -> None:
-    """Raise ``error`` unless ``tree`` spans ``extension``, one upward edge per vertex in order."""
-    if sorted(tree.tree_edges + tree.nontree_edges) != sorted(extension.edges):
-        raise error("tree edges do not partition the edge set")
-    if [source for source, _ in tree.tree_edges] != list(range(extension.top)):
-        raise error("tree does not take one edge out of each vertex below the top")
-    for v, (_, target) in enumerate(tree.tree_edges):
-        # upper triangular with unit diagonal: row v is z_v or z_v - z_target
-        if target <= v:
-            raise error(f"tree row {v} is not upper triangular")
-
-
 def choose_tree(extension: BoundedPoset) -> SpanningTree:
     """Deterministic spanning tree: each vertex keeps its smallest upward edge.
 
@@ -124,7 +140,8 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
     smallest-labelled target is kept (the top counts as largest); the
     bottom keeps its edge to the smallest minimal element.  The resulting
     tree rows are upper triangular with unit diagonal, which is what makes
-    the nontree classes a basis.
+    the nontree classes a basis.  A tree the constructor refuses is an
+    ``InternalInvariantError``.
     """
     n = extension.base.n
     ups: dict = {}
@@ -137,13 +154,15 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
             raise InternalInvariantError(f"vertex {v} has no upward edge in the Hasse diagram")
         tree.append((v, min(targets)))
     tree_set = set(tree)
-    spanning = SpanningTree(tuple(tree), tuple(e for e in extension.edges if e not in tree_set))
-    _check_spans(extension, spanning, InternalInvariantError)
-    # targets climb strictly, so every tree path ends at the top
-    return spanning
+    nontree = tuple(e for e in extension.edges if e not in tree_set)
+    try:
+        # targets climb strictly, so every tree path ends at the top
+        return SpanningTree(extension, tuple(tree), nontree)
+    except InputError as exc:
+        raise InternalInvariantError(str(exc)) from exc
 
 
-def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpression:
+def class_expressions(tree: SpanningTree) -> ClassExpression:
     """Fundamental cycle of every nontree edge, and the canonical class.
 
     For a nontree edge e_j = (x, y), the tree plus e_j closes a unique
@@ -152,17 +171,10 @@ def class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpre
     from y to the meet of the two tree paths and descends to x, so the
     y-side tree edges are the +1's and the x-side ones the -1's.  With
     ``dep`` the number of tree steps to the top, coordinate j of the
-    canonical class is therefore 1 + dep(y) - dep(x).  A tree that does not
-    span ``extension`` is an ``InputError``.
+    canonical class is therefore 1 + dep(y) - dep(x).
     """
-    _check_spans(extension, tree, InputError)
-    return _class_expressions(extension, tree)
-
-
-def _class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpression:
-    """``class_expressions`` of a tree already known to span ``extension``."""
     parent = [edge[1] for edge in tree.tree_edges]
-    dep = [0] * (extension.top + 1)
+    dep = [0] * (tree.extension.top + 1)
     for v in reversed(range(len(parent))):  # every tree target is above its vertex
         dep[v] = dep[parent[v]] + 1
     cycles = []
@@ -180,32 +192,38 @@ def _class_expressions(extension: BoundedPoset, tree: SpanningTree) -> ClassExpr
     return ClassExpression(tuple(cycles), canonical)
 
 
-def verify_column_relations(
-    extension: BoundedPoset, tree: SpanningTree, expr: ClassExpression
-) -> bool:
+def verify_column_relations(tree: SpanningTree, expr: ClassExpression) -> bool:
     """Substitute the tree-class expressions into every defining relation.
 
-    ``tree`` must span ``extension`` (else ``InputError``); the relation
-    rows of ``extension`` are read edge by edge.
+    The relation rows of ``tree.extension`` are read edge by edge.
     Each coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
     Over class j that sums the (at most two) nonzeros of the row of e_j and
-    of the signed tree rows along cycle j.
+    of the signed tree rows along cycle j.  A cycle entry that is not a
+    pair ``(v, sign)`` of ints, with v a vertex below the top and sign ±1,
+    is an ``InputError``.
     """
-    _check_spans(extension, tree, InputError)
-    return _relations_hold(extension, tree, expr)
-
-
-def _relations_hold(extension: BoundedPoset, tree: SpanningTree, expr: ClassExpression) -> bool:
-    """``verify_column_relations`` of a tree already known to span ``extension``."""
     if len(expr.cycles) != len(tree.nontree_edges):
         return False
+    extension = tree.extension
     rows = dict(zip(extension.edges, _relation_rows(extension)))
     tree_rows = [rows[e] for e in tree.tree_edges]
+    vertices = range(len(tree_rows))
     for edge, cycle in zip(tree.nontree_edges, expr.cycles):
         total = dict(rows[edge])
-        for v, sign in cycle:
+        for entry in cycle:
+            if not (
+                type(entry) is tuple
+                and len(entry) == 2
+                and type(entry[0]) is type(entry[1]) is int
+                and entry[0] in vertices
+                and entry[1] in (1, -1)
+            ):
+                raise InputError(
+                    f"cycle entry {excerpt(entry)} is not an int pair (v, ±1) with v in {vertices}"
+                )
+            v, sign = entry
             for c, a in tree_rows[v].items():
                 total[c] = total.get(c, 0) + sign * a
         if any(total.values()):
@@ -223,9 +241,8 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     sweep's ``rank_formula`` and ``cycle_coefficients``, checked only here.
     Any mismatch raises, since each one is a theorem.
 
-    The Fitting-ideal route eliminates ``_top_down_matrix``;
-    ``choose_tree`` checks its tree once, and the tree steps read it
-    unchecked.
+    The Fitting-ideal route eliminates ``_top_down_matrix``; the tree
+    route checks its tree once, when ``choose_tree`` builds it.
     """
     extension = bound(poset)
     matrix = _top_down_matrix(extension)
@@ -239,10 +256,10 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
             f"class group of a join-meet ring must be free of rank {expected_rank}, got {group}"
         )
     tree = choose_tree(extension)
-    expr = _class_expressions(extension, tree)
+    expr = class_expressions(tree)
     if any(len({v for v, _ in cycle}) != len(cycle) for cycle in expr.cycles):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
-    if not _relations_hold(extension, tree, expr):
+    if not verify_column_relations(tree, expr):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
     canonical = ClassElement((1,) * r)
     d_tree = math.gcd(*expr.canonical_coords)

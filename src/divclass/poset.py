@@ -3,14 +3,17 @@
 Elements are kept in a fixed linear-extension order: whenever x_i < x_j in
 the poset, the index i is smaller than j.  ``build_poset`` accepts any
 acyclic relation set and canonicalizes it (transitive reduction plus a
-stable relabeling), so every other function can rely on that order.
+stable relabeling), so every other function can rely on that order.  A
+``BoundedPoset`` takes only its base ``Poset`` and derives its Hasse edges
+from it, so every extension in the package is the bounded extension of a
+valid poset.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -101,10 +104,23 @@ class BoundedPoset:
     label order, n+1 is the top.  ``edges`` lists the Hasse edges in a fixed
     order: internal covers (lexicographic), then bottom edges, then top
     edges.  The empty poset degenerates to the single edge (bottom, top).
+    The edges are derived from ``base`` on construction and cannot be
+    passed in; a ``base`` that is not a ``Poset`` is an ``InputError``.
     """
 
     base: Poset
-    edges: tuple
+    edges: tuple = field(init=False)
+
+    def __post_init__(self):
+        poset = self.base
+        if not isinstance(poset, Poset):
+            raise InputError(f"a bounded extension needs a Poset, got {excerpt(poset)}")
+        n = poset.n
+        internal = sorted((i + 1, j + 1) for i, j in poset.covers)
+        bottom_edges = [(BOTTOM, i + 1) for i in poset.minimals()]
+        top_edges = [(i + 1, n + 1) for i in poset.maximals()]
+        edges = tuple(internal + bottom_edges + top_edges) if n else ((BOTTOM, 1),)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def top(self) -> int:
@@ -200,13 +216,7 @@ def _reduction(ups: Sequence[Iterable[int]]) -> list:
 
 def bound(poset: Poset) -> BoundedPoset:
     """Bounded extension with its deterministic edge enumeration."""
-    n = poset.n
-    if n == 0:
-        return BoundedPoset(poset, ((BOTTOM, 1),))
-    internal = sorted((i + 1, j + 1) for i, j in poset.covers)
-    bottom_edges = [(BOTTOM, i + 1) for i in poset.minimals()]
-    top_edges = [(i + 1, n + 1) for i in poset.maximals()]
-    return BoundedPoset(poset, tuple(internal + bottom_edges + top_edges))
+    return BoundedPoset(poset)
 
 
 def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:

@@ -219,7 +219,7 @@ def networkx_canonical_poset(names, relations):
     )
 
 
-def dense_class_expressions(extension, tree):
+def dense_class_expressions(tree):
     """Dense fundamental-cycle table of a spanning tree, and the canonical class.
 
     Returns ``(coeffs, canonical)``: ``coeffs[i][j]`` is the coefficient of
@@ -229,8 +229,8 @@ def dense_class_expressions(extension, tree):
     (x, y), the tree edges on y's path above the meet of the two paths get
     +1 and those on x's path get -1.
     """
-    n = extension.base.n
-    top = extension.top
+    n = tree.extension.base.n
+    top = tree.extension.top
     parent = [edge[1] for edge in tree.tree_edges]
 
     def path_to_top(v):
@@ -297,8 +297,7 @@ def per_sample_sweep(count, max_n, seed):
             poset,
             f"got {report.group}, expected free rank {expected_rank}",
         )
-        extension = bound(poset)
-        cycles = class_expressions(extension, choose_tree(extension)).cycles
+        cycles = class_expressions(choose_tree(bound(poset))).cycles
         summary.record(
             "cycle_coefficients",
             all(len({v for v, _ in cycle}) == len(cycle) for cycle in cycles),

@@ -140,8 +140,8 @@ def poset_sweep():
         matrix = relation_matrix(extension)
         snf = smith_normal_form(matrix)
         tree = choose_tree(extension)
-        expr = class_expressions(extension, tree)
-        column_relations_ok = verify_column_relations(extension, tree, expr)
+        expr = class_expressions(tree)
+        column_relations_ok = verify_column_relations(tree, expr)
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
         presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))

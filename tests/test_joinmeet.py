@@ -108,28 +108,77 @@ def test_tree_rows_upper_triangular():
             assert all(row[w] == 0 for w in range(v))
 
 
+# a two-element chain a < b: bound gives the edges (1, 2), (0, 1) and (2, 3)
+CHAIN2 = build_poset(["a", "b"], [("a", "b")])
+
+
+def with_edges(poset, edges):
+    """``bound(poset)`` with its derived edges overwritten, a state no constructor builds."""
+    extension = bound(poset)
+    object.__setattr__(extension, "edges", edges)
+    return extension
+
+
 def test_tree_of_another_extension_is_input_error():
-    # at the parent the first raised KeyError (2, 4) and the second returned
-    # canonical_coords=(0,) for a tree that spans neither extension
+    # a tree carries its extension, so the tree steps cannot be handed a
+    # tree of another one; the edges of another extension, or of this one
+    # with a vertex's tree edge moved to the nontree edges, build no tree
     e1 = bound(two_chains_poset(2, 1))
     e2 = bound(build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]))
     t2 = choose_tree(e2)
-    x2 = class_expressions(e2, t2)
     with pytest.raises(InputError, match="do not partition"):
-        verify_column_relations(e1, t2, x2)
-    with pytest.raises(InputError, match="do not partition"):
-        class_expressions(e1, t2)
-    # the edges of e1, but one vertex's tree edge moved to the nontree edges
+        SpanningTree(e1, t2.tree_edges, t2.nontree_edges)
     t1 = choose_tree(e1)
-    short = SpanningTree(t1.tree_edges[:-1], t1.nontree_edges + t1.tree_edges[-1:])
     with pytest.raises(InputError, match="one edge out of each vertex"):
-        class_expressions(e1, short)
-    with pytest.raises(InputError, match="one edge out of each vertex"):
-        verify_column_relations(e1, short, class_expressions(e1, t1))
+        SpanningTree(e1, t1.tree_edges[:-1], t1.nontree_edges + t1.tree_edges[-1:])
 
 
-# a two-element chain a < b: bound gives the edges (1, 2), (0, 1) and (2, 3)
-CHAIN2 = build_poset(["a", "b"], [("a", "b")])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((None, None), "tree edges must be a sequence"),
+        (([(0, 1), (1, 3), (2, 3)], None), "nontree edges must be a sequence"),
+        ((((0, 1), (1, 3), (2, 3)), ((0, 2, 4),)), r"tree edge \(0, 2, 4\) is not a pair"),
+        ((((0, 1), (1, 3), (2, 3)), ([0, 2],)), r"tree edge \[0, 2\] is not a pair"),
+        ((((0, 1), (1, 3), (2, 3)), (5,)), "tree edge 5 is not a pair"),
+        ((((0, 1), (1, 3), (2, 3)), ((0, "2"),)), "is not a pair of int vertices"),
+        ((((0, True), (1, 3), (2, 3)), ((0, 2),)), "is not a pair of int vertices"),
+    ],
+    ids=["none", "none-nontree", "triple", "list-edge", "int-edge", "str-vertex", "bool-vertex"],
+)
+def test_malformed_spanning_tree_is_input_error(fields, message):
+    # each field is read as a tuple and each edge must be an int pair before
+    # the edges are sorted against the extension's, which would raise TypeError
+    with pytest.raises(InputError, match=message):
+        SpanningTree(bound(antichain2()), *fields)
+
+
+def test_spanning_tree_reads_its_edge_fields_as_tuples():
+    extension = bound(antichain2())
+    tree = choose_tree(extension)
+    listed = SpanningTree(extension, list(tree.tree_edges), list(tree.nontree_edges))
+    assert listed == tree and hash(listed) == hash(tree)
+    assert type(listed.tree_edges) is tuple and type(listed.nontree_edges) is tuple
+    with pytest.raises(InputError, match="needs a BoundedPoset"):
+        SpanningTree(antichain2(), tree.tree_edges, tree.nontree_edges)
+
+
+def test_an_extension_is_derived_from_its_poset():
+    # hand-built edges would reach relation_matrix's trusted constructor (an
+    # edge to column 5 of a one-element poset) and the tree route (the chain
+    # a < b with an extra edge (1, 3) has a nontree edge of canonical
+    # coordinate -1, the true chain none), so they cannot be passed in
+    with pytest.raises(TypeError):
+        BoundedPoset(build_poset(["a"]), ((0, 5),))
+    with pytest.raises(TypeError):
+        BoundedPoset(CHAIN2, bound(CHAIN2).edges + ((1, 3),))
+    with pytest.raises(TypeError):
+        BoundedPoset(base=CHAIN2, edges=((0, 1),))
+    assert BoundedPoset(CHAIN2) == bound(CHAIN2)
+    assert choose_tree(BoundedPoset(CHAIN2)).nontree_edges == ()
+    for base in (None, "ab", ("a", "b"), bound(CHAIN2)):
+        with pytest.raises(InputError, match="needs a Poset"):
+            BoundedPoset(base)
 
 
 @pytest.mark.parametrize(
@@ -143,17 +192,17 @@ CHAIN2 = build_poset(["a", "b"], [("a", "b")])
 )
 def test_each_choose_tree_invariant_raises(edges, message):
     with pytest.raises(InternalInvariantError, match=message):
-        choose_tree(BoundedPoset(CHAIN2, edges))
+        choose_tree(with_edges(CHAIN2, edges))
 
 
 def test_is_graded_raises_on_an_edge_out_of_an_unranked_vertex():
     with pytest.raises(InternalInvariantError, match="vertex 2 reached before being ranked"):
-        BoundedPoset(CHAIN2, ((2, 1), (0, 2), (1, 3))).is_graded()
+        with_edges(CHAIN2, ((2, 1), (0, 2), (1, 3))).is_graded()
 
 
 def test_class_expressions_chain():
     extension = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
-    expr = class_expressions(extension, choose_tree(extension))
+    expr = class_expressions(choose_tree(extension))
     assert expr.canonical_coords == ()
     assert expr.cycles == ()
 
@@ -161,7 +210,7 @@ def test_class_expressions_chain():
 def test_class_expressions_antichain():
     extension = bound(antichain2())
     tree = choose_tree(extension)
-    expr = class_expressions(extension, tree)
+    expr = class_expressions(tree)
     # cycle bot -> x2 -> top -> x1 -> bot: +1 on (x2, top), -1 on (bot, x1)
     # and (x1, top); so the canonical coordinate is 1 + (1 - 1 - 1) = 0
     assert expr.cycles == (((2, 1), (0, -1), (1, -1)),)
@@ -170,30 +219,59 @@ def test_class_expressions_antichain():
 
 def test_class_expressions_two_chains():
     extension = bound(two_chains_poset(5, 2))
-    expr = class_expressions(extension, choose_tree(extension))
+    expr = class_expressions(choose_tree(extension))
     assert tuple(abs(c) for c in expr.canonical_coords) == (3,)
 
 
 def test_verify_column_relations():
     for poset in (build_poset(["x1"]), antichain2(), two_chains_poset(3, 1)):
-        extension = bound(poset)
-        tree = choose_tree(extension)
-        expr = class_expressions(extension, tree)
-        assert verify_column_relations(extension, tree, expr)
+        tree = choose_tree(bound(poset))
+        assert verify_column_relations(tree, class_expressions(tree))
 
 
 def test_verify_rejects_corrupted_expression():
     from divclass.joinmeet import ClassExpression
 
-    extension = bound(antichain2())
-    tree = choose_tree(extension)
-    expr = class_expressions(extension, tree)
+    tree = choose_tree(bound(antichain2()))
+    expr = class_expressions(tree)
     for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
         corrupted = ClassExpression((cycle,), expr.canonical_coords)
-        assert not verify_column_relations(extension, tree, corrupted)
+        assert not verify_column_relations(tree, corrupted)
     # fewer cycles than the tree has nontree edges
     assert len(tree.nontree_edges) == 1
-    assert not verify_column_relations(extension, tree, ClassExpression((), expr.canonical_coords))
+    assert not verify_column_relations(tree, ClassExpression((), expr.canonical_coords))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (-1, 1),
+        (-3, 1),
+        (3, 1),
+        (99, 1),
+        (2, "x"),
+        (2, 1.0),
+        (2, True),
+        (True, 1),
+        (2.0, 1),
+        (2, 2),
+        (2, 0),
+        (2, 1, 0),
+        (2,),
+        [2, 1],
+        2,
+        None,
+    ],
+)
+def test_verify_refuses_a_cycle_entry_that_is_no_vertex_and_sign(entry):
+    # read unchecked, vertex -1 would wrap to the last tree edge and certify
+    # the cycle below, vertex 99 would raise IndexError, sign "x" TypeError,
+    # and the signs 1.0 and True would count as 1
+    tree = choose_tree(bound(antichain2()))
+    assert tree.tree_edges == ((0, 1), (1, 3), (2, 3))
+    assert verify_column_relations(tree, class_expressions(tree))
+    with pytest.raises(InputError, match="is not an int pair"):
+        verify_column_relations(tree, joinmeet.ClassExpression(((entry, (0, -1), (1, -1)),), (0,)))
 
 
 def densify(cycles, rows):
@@ -213,12 +291,12 @@ def test_sparse_cycles_match_dense_oracle():
     for p in posets:
         extension = bound(p)
         tree = choose_tree(extension)
-        expr = class_expressions(extension, tree)
-        coeffs, canonical = dense_class_expressions(extension, tree)
+        expr = class_expressions(tree)
+        coeffs, canonical = dense_class_expressions(tree)
         assert densify(expr.cycles, len(tree.tree_edges)) == coeffs
         assert expr.canonical_coords == canonical
         assert all(len({v for v, _ in cycle}) == len(cycle) for cycle in expr.cycles)
-        assert verify_column_relations(extension, tree, expr)
+        assert verify_column_relations(tree, expr)
         if not expr.cycles:
             continue
         # every single dropped vertex or flipped sign in one cycle breaks a relation
@@ -228,7 +306,7 @@ def test_sparse_cycles_match_dense_oracle():
             for changed in (cycle[:k] + cycle[k + 1 :], cycle[:k] + ((v, -sign),) + cycle[k + 1 :]):
                 cycles = expr.cycles[:j] + (changed,) + expr.cycles[j + 1 :]
                 corrupted = joinmeet.ClassExpression(cycles, expr.canonical_coords)
-                assert not verify_column_relations(extension, tree, corrupted)
+                assert not verify_column_relations(tree, corrupted)
                 mutated += 1
     assert mutated > 2000
 
@@ -294,7 +372,7 @@ def alternate_tree(extension):
     tree = tuple((v, max(ups[v])) for v in range(extension.base.n + 1))
     tree_set = set(tree)
     nontree = tuple(e for e in extension.edges if e not in tree_set)
-    return SpanningTree(tree, nontree)
+    return SpanningTree(extension, tree, nontree)
 
 
 def test_tree_independence_of_torsion_number():
@@ -302,15 +380,15 @@ def test_tree_independence_of_torsion_number():
     for _ in range(60):
         p = random_poset(rng, 7)
         extension = bound(p)
-        default = class_expressions(extension, choose_tree(extension))
+        default = class_expressions(choose_tree(extension))
         alt_tree = alternate_tree(extension)
-        alt = class_expressions(extension, alt_tree)
-        assert verify_column_relations(extension, alt_tree, alt)
+        alt = class_expressions(alt_tree)
+        assert verify_column_relations(alt_tree, alt)
         d_default = math.gcd(*(abs(c) for c in default.canonical_coords))
         d_alt = math.gcd(*(abs(c) for c in alt.canonical_coords))
         assert d_default == d_alt
         table = densify(alt.cycles, len(alt_tree.tree_edges))
-        assert table == dense_class_expressions(extension, alt_tree)[0]
+        assert table == dense_class_expressions(alt_tree)[0]
         assert all(c in (-1, 0, 1) for row in table for c in row)
 
 
@@ -346,7 +424,7 @@ def test_cross_method_torsion_on_randoms():
         p = random_poset(rng, 7)
         extension = bound(p)
         matrix = relation_matrix(extension)
-        expr = class_expressions(extension, choose_tree(extension))
+        expr = class_expressions(choose_tree(extension))
         d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
         presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))
@@ -423,9 +501,7 @@ def test_report_elimination_has_one_entry_pivot_rows(monkeypatch):
 def test_report_raises_on_impossible_state(monkeypatch):
     import divclass.joinmeet as jm
 
-    # the report reads its checked tree through the unchecked core of
-    # verify_column_relations
-    monkeypatch.setattr(jm, "_relations_hold", lambda *args: False)
+    monkeypatch.setattr(jm, "verify_column_relations", lambda *args: False)
     with pytest.raises(InternalInvariantError):
         joinmeet_report(antichain2())
 
@@ -457,8 +533,8 @@ def _repeat_a_tree_edge(expr):
             50,
         ),
         (
-            "_class_expressions",
-            lambda real: lambda ext, tree: _repeat_a_tree_edge(real(ext, tree)),
+            "class_expressions",
+            lambda real: lambda tree: _repeat_a_tree_edge(real(tree)),
             r"^fundamental-cycle coefficients must be -1, 0, or 1$",
             28,
         ),
@@ -531,21 +607,36 @@ def test_torsion_number_is_the_chain_length_gcd():
         assert joinmeet_report(p).torsion_number == chain_length_gcd(p), p
 
 
-# the report builds its top-down matrix, and checks its chosen tree, once
-STEPS = ("bound", "_top_down_matrix", "choose_tree", "_check_spans", "_class_expressions")
+# the report builds its top-down matrix and its tree, checks the tree (in
+# the SpanningTree constructor), and runs each tree step, once
+STEPS = (
+    "bound",
+    "_top_down_matrix",
+    "choose_tree",
+    "SpanningTree",
+    "class_expressions",
+    "verify_column_relations",
+)
 
 
 @pytest.fixture
 def calls(monkeypatch):
     """Counts calls, through every divclass reference, to the poset-mode steps."""
     counts = Counter()
+    check = joinmeet.SpanningTree.__post_init__
+
+    def counting_check(tree):
+        counts["SpanningTree"] += 1
+        check(tree)
+
+    monkeypatch.setattr(joinmeet.SpanningTree, "__post_init__", counting_check)
     for home, name in (
         (poset, "build_poset"),
         (poset, "bound"),
         (joinmeet, "_top_down_matrix"),
         (joinmeet, "choose_tree"),
-        (joinmeet, "_check_spans"),
-        (joinmeet, "_class_expressions"),
+        (joinmeet, "class_expressions"),
+        (joinmeet, "verify_column_relations"),
     ):
         original = getattr(home, name)
 
