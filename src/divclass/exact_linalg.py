@@ -13,29 +13,28 @@ a dict of its nonzeros.  Neither transform is built during elimination.
 Every operation on the rows of ``D`` (row swaps and additions, column swaps
 and additions, and the final sign changes that make the diagonal
 positive) is appended to one log in elimination order.  The row loop
-visits only the rows below the pivot that hold its column, listed by the
-pass that swaps that column into place (or by one scan when no swap is
-needed), and a column operation touches only the rows still nonzero in
-the pivot column (the pivot row and the rows the row loop left a
-remainder in).  The pivot is the nonzero entry of least absolute value,
-ties at the lowest (row, col).
+visits only the rows below the pivot that hold its column, listed by one
+scan after the pivot is swapped into place, and a column operation
+touches only the rows still nonzero in the pivot column (the pivot row
+and the rows the row loop left a remainder in).  The pivot is the
+nonzero entry of least absolute value, ties at the lowest (row, col).
 The pivot search stops at the first row holding an entry of absolute value
 1, and the divisibility fix-up is skipped for a unit pivot; neither can
 change the pivot or the result.  The result is the invariant factors (the
 pivots' absolute values), the shape of ``A`` and the log.  ``U A V = D`` is
 checked exactly on every entry by replaying the log in order on copies of
-the rows of ``A``, indexing columns on demand, against the diagonal's rows;
-in that order every entry is one the elimination itself held.  ``U`` and
-``V`` are built on first read by replaying the row and the column
-operations on the identity, so the transforms a caller reads are the ones
-that were checked, and ``U v`` replays the row operations on ``v`` alone.
+the rows of ``A`` against the diagonal's rows, each column operation
+walking every row with no index; in that order every entry is one the
+elimination itself held.  ``U`` and ``V`` are built on first read by
+replaying the row and the column operations on the identity, so the
+transforms a caller reads are the ones that were checked, and ``U v``
+replays the row operations on ``v`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -165,6 +164,8 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Row i of the product sums e * (row k of ``other``) over the nonzeros e = self[i, k]."""
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         right = other._rows
@@ -313,59 +314,35 @@ def _add_multiple(row: dict, other: dict, q: int) -> None:
 
 
 def _replay(rows: list, ops: Sequence[tuple]) -> list:
-    """Apply the logged ``ops`` in order to ``rows``, row dicts of nonzeros, in place."""
-    # holders[j] (made on first use) maps id(row) to every row that may be
-    # nonzero in column j, so a column operation scans no other row.  Row
-    # and column additions add the cells they newly fill, and each run of
-    # column additions from one column a starts by pruning holders[a] to
-    # the rows nonzero there.  Keyed by identity, so row swaps leave it alone.
-    holders = defaultdict(dict)
-    for row in rows:
-        for j in row:
-            holders[j][id(row)] = row
-    pruned = None
+    """Apply ``ops`` in order to the row dicts ``rows``, in place; column operations walk every row."""
     for kind, a, b, q in ops:
-        if kind == "column" and q:
-            if pruned != a:
-                holders[a] = {key: row for key, row in holders[a].items() if a in row}
-                pruned = a
-            gains = holders[b]
-            for key, row in holders[a].items():
-                e = row.get(b)
-                if e is None:
-                    row[b] = -q * row[a]
-                    gains[key] = row
-                else:
-                    e -= q * row[a]
-                    if e:
-                        row[b] = e
-                    else:
-                        del row[b]
-            continue
-        pruned = None
         if kind == "column":
-            for row in {**holders[a], **holders[b]}.values():
-                x, y = row.pop(a, None), row.pop(b, None)
-                if x is not None:
-                    row[b] = x
-                if y is not None:
-                    row[a] = y
-            holders[a], holders[b] = holders[b], holders[a]
+            if q:
+                for row in rows:
+                    x = row.get(a)
+                    if x is not None:
+                        e = row.get(b, 0) - q * x
+                        if e:
+                            row[b] = e
+                        else:
+                            del row[b]
+            else:
+                for row in rows:
+                    x, y = row.pop(a, None), row.pop(b, None)
+                    if x is not None:
+                        row[b] = x
+                    if y is not None:
+                        row[a] = y
         elif kind == "row":
             if q:
-                target, key = rows[b], id(rows[b])
+                target = rows[b]
                 get = target.get
                 for k, x in rows[a].items():
-                    e = get(k)
-                    if e is None:
-                        target[k] = -q * x
-                        holders[k][key] = target
+                    e = get(k, 0) - q * x
+                    if e:
+                        target[k] = e
                     else:
-                        e -= q * x
-                        if e:
-                            target[k] = e
-                        else:
-                            del target[k]
+                        del target[k]
             else:
                 rows[a], rows[b] = rows[b], rows[a]
         else:
@@ -423,22 +400,15 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
                 d[t], d[i] = d[i], d[t]
                 ops.append(("row", t, i, 0))
             if j != t:
-                # Rows above t are zero in both columns.  The same pass lists
-                # the rows that hold the new column t, in order; the first
-                # is row t, which holds the pivot.
-                below = []
-                for i, row in enumerate(d[t:], t):
-                    if t in row or j in row:
-                        a, b = row.pop(t, 0), row.pop(j, 0)
-                        if b:
-                            row[t] = b
-                            below.append(i)
-                        if a:
-                            row[j] = a
-                del below[0]
+                # Rows above t are zero in both columns.
+                for row in d[t:]:
+                    a, b = row.pop(t, None), row.pop(j, None)
+                    if b is not None:
+                        row[t] = b
+                    if a is not None:
+                        row[j] = a
                 ops.append(("column", t, j, 0))
-            else:
-                below = [i for i in range(t + 1, m) if t in d[i]]
+            below = [i for i in range(t + 1, m) if t in d[i]]
             top = d[t]
             p = top[t]
             # The rows nonzero in column t after the row loop: the pivot row

@@ -49,6 +49,31 @@ def dense_product(a, b, cols):
     return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(cols)] for row in a]
 
 
+def dense_replay(rows, ops):
+    """The logged ``ops`` applied in order to a copy of the dense ``rows``, by their definitions.
+
+    For kind ``"row"`` or ``"column"``, line b -= q * line a when q != 0,
+    and lines a and b swap when q == 0; kind ``"negate"`` changes the sign
+    of row a.  Every entry of every row is visited, zeros included.
+    """
+    rows = [list(row) for row in rows]
+    for kind, a, b, q in ops:
+        if kind == "row":
+            if q:
+                rows[b] = [y - q * x for x, y in zip(rows[a], rows[b])]
+            else:
+                rows[a], rows[b] = rows[b], rows[a]
+        elif kind == "column":
+            for row in rows:
+                if q:
+                    row[b] -= q * row[a]
+                else:
+                    row[a], row[b] = row[b], row[a]
+        else:
+            rows[a] = [-x for x in rows[a]]
+    return rows
+
+
 def brute_minor_gcd(rows, k):
     """gcd of all k x k minors (0 when there are none or all vanish)."""
     import math

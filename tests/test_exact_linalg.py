@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from oracles import (
     brute_invariant_factors,
     brute_minor_gcd,
     dense_product,
+    dense_replay,
     dense_smith_normal_form,
     det_cofactor,
     layered_poset,
@@ -403,6 +405,74 @@ def test_product_check_rejects_every_corrupted_row_log(monkeypatch):
             seen["negate"] += kind == "negate"
     # 2 * (835 + 29) + 267 + 139 = 2134: every corrupted log was rejected
     assert (rejected, seen) == (2134, {"addition": 835, "fold": 29, "swap": 267, "negate": 139})
+
+
+def sparse_rows(dense):
+    return [{j: e for j, e in enumerate(row) if e} for row in dense]
+
+
+def test_replay_matches_dense_replay_on_arbitrary_logs():
+    # Random sparse rows and random logs of every kind, most of them no
+    # Smith log could hold.  Entries and quotients up to 3 make additions
+    # cancel cells as well as fill them.
+    rng = random.Random(20261022)
+    seen = {"row addition": 0, "row swap": 0, "column addition": 0, "column swap": 0, "negate": 0}
+    for _ in range(1500):
+        m, n = rng.randint(0, 5), rng.randint(2, 6)
+        dense = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(m)]
+        ops = []
+        for _ in range(rng.randint(0, 12)):
+            kind = rng.choice(list(seen) if m > 1 else ["column addition", "column swap"])
+            seen[kind] += 1
+            lines = n if kind.startswith("column") else m
+            a, b = rng.sample(range(lines), 2)
+            if kind == "negate":
+                ops.append(("negate", a, a, 0))
+            else:
+                q = rng.choice((-3, -2, -1, 1, 2, 3)) if kind.endswith("addition") else 0
+                ops.append((kind.split()[0], a, b, q))
+        replayed = exact_linalg._replay(sparse_rows(dense), ops)
+        assert replayed == sparse_rows(dense_replay(dense, ops))
+        assert all(all(row.values()) for row in replayed)
+    assert min(seen.values()) > 1000
+
+
+@pytest.mark.parametrize(
+    "rows, ops, expected",
+    [
+        # a column swap in rows that hold only one of the two columns
+        ([{0: 5}, {1: 7}, {0: 2, 1: 3}, {}], [("column", 0, 1, 0)], [{1: 5}, {0: 7}, {0: 3, 1: 2}, {}]),
+        # additions that fill an empty cell
+        ([{0: 2}], [("column", 0, 1, 3)], [{0: 2, 1: -6}]),
+        ([{0: 1}, {1: 1}], [("row", 0, 1, 2)], [{0: 1}, {0: -2, 1: 1}]),
+        # additions that cancel a cell to zero, which is not stored
+        ([{0: 2, 1: 6}], [("column", 0, 1, 3)], [{0: 2}]),
+        ([{0: 1, 2: 4}, {0: 2}], [("row", 0, 1, 2)], [{0: 1, 2: 4}, {2: -8}]),
+        ([{0: 1}, {0: 2}], [("row", 0, 1, 2)], [{0: 1}, {}]),
+        # a row swap, then a sign change
+        ([{0: 1}, {1: -2}], [("row", 0, 1, 0), ("negate", 1, 1, 0)], [{1: -2}, {0: -1}]),
+    ],
+    ids=["column swap", "column fill", "row fill", "column cancel", "row cancel", "row emptied", "swap, negate"],
+)
+def test_replay_cases(rows, ops, expected):
+    dense = [[row.get(j, 0) for j in range(3)] for row in rows]
+    assert exact_linalg._replay(rows, ops) == expected == sparse_rows(dense_replay(dense, ops))
+
+
+def test_replay_allocates_nothing_per_column():
+    # Column operations on columns near 10^8 of rows that hold none of
+    # them: the replay walks the rows it is given and sizes nothing by a
+    # column index.
+    far = 10**8 - 1
+    ops = [("column", far - 1, far, 1), ("column", far, far - 1, 0), ("column", 0, far, 2)]
+    for rows in ([], [{}, {}]):
+        tracemalloc.start()
+        try:
+            replayed = exact_linalg._replay(rows, ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert replayed == rows and peak < 2**12
 
 
 def at_scale_corpus():

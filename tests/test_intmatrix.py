@@ -189,3 +189,11 @@ def test_a_matrix_equals_no_other_type():
     M = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert M.__eq__([[1, 2], [3, 4]]) is NotImplemented
     assert M != [[1, 2], [3, 4]] and M != ((1, 2), (3, 4))
+
+
+def test_a_matrix_multiplies_no_other_type():
+    M = IntMatrix.from_rows([[2, 0], [0, 3]])
+    assert M.__matmul__(3) is NotImplemented
+    for other in (3, [[1, 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            M @ other
