@@ -15,7 +15,6 @@ from divclass import (
     bound,
     build_poset,
     choose_tree,
-    class_expressions,
     joinmeet_report,
     quotient_by,
     relation_matrix,
@@ -60,8 +59,8 @@ print("reduced class group (quotient by the canonical class):",
 # keeps one upward edge; the leftover edges index a basis of the class
 # group.  Each basis edge closes one cycle through the tree, and the signs
 # along the cycles expand every tree class in that basis.  The tree carries
-# its extension and is checked once, when it is built, so the two steps
-# after it take the tree alone.
+# its extension, is checked once, when it is built, and derives its cycles
+# and the canonical class over the basis from the checked edges.
 tree = choose_tree(extension)
 print("\ntree edges (one per vertex below the top):")
 for u, v in tree.tree_edges:
@@ -70,19 +69,18 @@ print("nontree (basis) edges:")
 for u, v in tree.nontree_edges:
     print(f"  {extension.vertex_name(u)} -> {extension.vertex_name(v)}")
 
-expr = class_expressions(tree)
 print("\nfundamental cycles (tree edges a basis edge closes, with their signs):")
-for (x, y), cycle in zip(tree.nontree_edges, expr.cycles):
+for (x, y), cycle in zip(tree.nontree_edges, tree.cycles):
     print(f"  {extension.vertex_name(x)} -> {extension.vertex_name(y)}:")
     for v, sign in cycle:
         u, w = tree.tree_edges[v]
         print(f"    {sign:+d} [{extension.vertex_name(u)} -> {extension.vertex_name(w)}]")
-print("canonical class over the basis:", expr.canonical_coords)
+print("canonical class over the basis:", tree.canonical_coords)
 print("expressions satisfy every defining relation?",
-      verify_column_relations(tree, expr))
+      verify_column_relations(tree))
 
 # The two routes must agree, and joinmeet_report has already cross-checked
 # them: it raises on any mismatch.
 print("\ntorsion number, tree route == Fitting route:",
-      math.gcd(*expr.canonical_coords), "==", report.torsion_number)
+      math.gcd(*tree.canonical_coords), "==", report.torsion_number)
 print("gorenstein:", report.gorenstein, "| pure:", report.pure)

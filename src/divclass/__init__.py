@@ -32,10 +32,8 @@ from .errors import (
 )
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 from .joinmeet import (
-    ClassExpression,
     SpanningTree,
     choose_tree,
-    class_expressions,
     joinmeet_report,
     relation_matrix,
     verify_column_relations,
@@ -63,7 +61,6 @@ __all__ = [
     "AbelianPresentation",
     "BoundedPoset",
     "ClassElement",
-    "ClassExpression",
     "ClassGroupReport",
     "ConeDescription",
     "DivclassError",
@@ -78,7 +75,6 @@ __all__ = [
     "bound",
     "build_poset",
     "choose_tree",
-    "class_expressions",
     "cone_report",
     "determinantal_invariants",
     "fitting_number",

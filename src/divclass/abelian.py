@@ -39,6 +39,10 @@ class AbelianPresentation:
 
     relations: IntMatrix
 
+    def __post_init__(self):
+        if not isinstance(self.relations, IntMatrix):
+            raise InputError(f"a presentation needs an IntMatrix, got {excerpt(self.relations)}")
+
     @property
     def generators(self) -> int:
         return self.relations.rows
@@ -77,6 +81,8 @@ class ClassElement:
 
 
 def _check_element(p: AbelianPresentation, e: ClassElement):
+    if not isinstance(e, ClassElement):
+        raise InputError(f"an element must be a ClassElement, got {excerpt(e)}")
     if len(e.coords) != p.generators:
         raise InputError(
             f"element has {len(e.coords)} coordinates for {p.generators} generators"
@@ -174,6 +180,8 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     D y = U b and x = V y, where D is diagonal so each coordinate is a
     single exact-divisibility test; y is 0 past the rank.
     """
+    if not isinstance(A, IntMatrix):
+        raise InputError(f"solve_integer needs an IntMatrix, got {excerpt(A)}")
     b = integer_vector(b, "right-hand side")
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")

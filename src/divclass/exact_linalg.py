@@ -125,7 +125,7 @@ class IntMatrix:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise InputError("all rows must have the same length")
-            if cols is not None and cols != width:
+            if cols is not None and _dimension(cols, "column count") != width:
                 raise InputError(f"rows have length {width}, not {excerpt(cols)}")
         else:
             width = 0 if cols is None else cols
@@ -361,6 +361,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors
     (1, 6)
     """
+    if not isinstance(A, IntMatrix):
+        raise InputError(f"smith_normal_form needs an IntMatrix, got {excerpt(A)}")
     m, n = A.rows, A.cols
     # Row i of the store is d[i], row i of D, without zeros.  Every pivot
     # and quotient is read off d alone, and neither U nor V is built here:

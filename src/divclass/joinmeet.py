@@ -21,23 +21,19 @@ no column operation and at most two row additions per edge.  Reordering
 rows and columns changes neither the group nor the torsion number of the
 all-ones canonical class.
 
-A spanning tree of the Hasse diagram assigning one upward edge to each
-vertex below the top makes the tree rows of the relation matrix upper
-triangular with unit diagonal, so the nontree classes form a basis.  A
-``SpanningTree`` carries its extension and checks on construction that it
-is such a tree, so ``class_expressions`` and ``verify_column_relations``
-read it unchecked.  The signed tree edges on the fundamental cycle of each
-nontree edge, kept sparse, expand the tree classes in that basis with
-coefficients +1/-1/0.
-Summing all edge classes gives the canonical class; the gcd of its basis
-coordinates is the torsion number, which is also computed independently
-from Fitting ideals of the relation matrix and cross-checked.
+A spanning tree with one upward edge per vertex below the top makes the
+nontree classes a basis.  A ``SpanningTree``, checked on construction,
+derives the sparse fundamental cycles that expand the tree classes in it
+with coefficients +1/-1/0, which ``verify_column_relations`` substitutes
+into the relations, and the basis coordinates of the canonical class (all
+edge classes summed), whose gcd is the torsion number, cross-checked
+against Fitting ideals of the relation matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abelian import AbelianPresentation, ClassElement, structure, torsion_number
 from .errors import InputError, InternalInvariantError, as_tuple, excerpt
@@ -48,18 +44,33 @@ from .semigroup import ClassGroupReport
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """One upward tree edge per vertex of ``extension`` except the top.
+    """One upward tree edge per vertex of ``extension`` except the top, and its cycles.
 
     ``tree_edges[v]`` is the edge chosen for vertex v (v = 0 is the bottom);
     ``nontree_edges`` lists the remaining Hasse edges.  Both are read as
     tuples on construction, which raises ``InputError`` unless together
     they are the edges of ``extension``, each a pair of ints, and the tree
     edges go up, one out of each vertex below the top in vertex order.
+
+    ``cycles`` and ``canonical_coords`` are then derived, not passed in.
+    ``cycles[j]`` is the cycle the j-th nontree edge (x, y) closes, as
+    ``(v, sign)`` pairs naming ``tree_edges[v]``: +1 along y's tree path up
+    to the meet of the two paths, then -1 along x's.  The sign is the
+    coefficient of the j-th nontree class in the class of ``tree_edges[v]``
+    (0 off the cycle); ``canonical_coords[j]`` is 1 plus the signs of cycle
+    j, δ(x, y) = 1 + dep(y) - dep(x) with dep the tree steps to the top.  δ
+    is 0 on tree edges and telescopes along a maximal chain p: len(p) =
+    Σ_{e in p} δ(e) + dep(bottom).  So δ(x, y) is the length gap of two
+    maximal chains that reach x alike, leave it by (x, y) or by its tree
+    edge and then follow the tree: the torsion number, the gcd of the
+    canonical coordinates, is the gcd of the chain length gaps.
     """
 
     extension: BoundedPoset
     tree_edges: tuple
     nontree_edges: tuple
+    cycles: tuple = field(init=False)
+    canonical_coords: tuple = field(init=False)
 
     def __post_init__(self):
         extension = self.extension
@@ -81,21 +92,24 @@ class SpanningTree:
             # upper triangular with unit diagonal: row v is z_v or z_v - z_target
             if target <= v:
                 raise InputError(f"tree row {v} is not upper triangular")
-
-
-@dataclass(frozen=True)
-class ClassExpression:
-    """Fundamental cycles of the nontree edges, plus the canonical coordinates.
-
-    ``cycles[j]`` is the cycle of the j-th nontree edge (x, y) as
-    ``(v, sign)`` pairs naming ``tree_edges[v]``: +1 along y's tree path up
-    to the meet, then -1 along x's.  The sign is the coefficient of the j-th
-    nontree class in the class of ``tree_edges[v]`` (0 off the cycle), and
-    ``canonical_coords[j]`` is 1 plus the signs of cycle j.
-    """
-
-    cycles: tuple
-    canonical_coords: tuple
+        parent = [target for _, target in tree_edges]
+        dep = [0] * (extension.top + 1)
+        for v in reversed(range(len(parent))):  # every tree target is above its vertex
+            dep[v] = dep[parent[v]] + 1
+        cycles, canonical = [], []
+        for x, y in nontree_edges:
+            x_side, y_side = [], []
+            while x != y:
+                if dep[x] >= dep[y]:
+                    x_side.append((x, -1))
+                    x = parent[x]
+                else:
+                    y_side.append((y, 1))
+                    y = parent[y]
+            cycles.append(tuple(y_side + x_side))
+            canonical.append(1 + len(y_side) - len(x_side))
+        object.__setattr__(self, "cycles", tuple(cycles))
+        object.__setattr__(self, "canonical_coords", tuple(canonical))
 
 
 def _relation_rows(extension: BoundedPoset) -> list:
@@ -143,12 +157,13 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
     the nontree classes a basis.  A tree the constructor refuses is an
     ``InternalInvariantError``.
     """
-    n = extension.base.n
+    if not isinstance(extension, BoundedPoset):
+        raise InputError(f"a spanning tree needs a BoundedPoset, got {excerpt(extension)}")
     ups: dict = {}
     for u, v in extension.edges:
         ups.setdefault(u, []).append(v)
     tree = []
-    for v in range(n + 1):
+    for v in range(extension.top):
         targets = ups.get(v)
         if not targets:
             raise InternalInvariantError(f"vertex {v} has no upward edge in the Hasse diagram")
@@ -162,68 +177,23 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
         raise InternalInvariantError(str(exc)) from exc
 
 
-def class_expressions(tree: SpanningTree) -> ClassExpression:
-    """Fundamental cycle of every nontree edge, and the canonical class.
-
-    For a nontree edge e_j = (x, y), the tree plus e_j closes a unique
-    cycle; orienting it x -> y, a tree edge traversed along its own
-    direction gets sign +1, one traversed backwards -1.  The cycle climbs
-    from y to the meet of the two tree paths and descends to x, so the
-    y-side tree edges are the +1's and the x-side ones the -1's.  With
-    ``dep`` the number of tree steps to the top, coordinate j of the
-    canonical class is therefore 1 + dep(y) - dep(x).
-    """
-    parent = [edge[1] for edge in tree.tree_edges]
-    dep = [0] * (tree.extension.top + 1)
-    for v in reversed(range(len(parent))):  # every tree target is above its vertex
-        dep[v] = dep[parent[v]] + 1
-    cycles = []
-    for x, y in tree.nontree_edges:
-        x_side, y_side = [], []
-        while x != y:
-            if dep[x] >= dep[y]:
-                x_side.append((x, -1))
-                x = parent[x]
-            else:
-                y_side.append((y, 1))
-                y = parent[y]
-        cycles.append(tuple(y_side + x_side))
-    canonical = tuple(1 + dep[y] - dep[x] for x, y in tree.nontree_edges)
-    return ClassExpression(tuple(cycles), canonical)
-
-
-def verify_column_relations(tree: SpanningTree, expr: ClassExpression) -> bool:
-    """Substitute the tree-class expressions into every defining relation.
+def verify_column_relations(tree: SpanningTree) -> bool:
+    """Substitute the tree's fundamental cycles into every defining relation.
 
     The relation rows of ``tree.extension`` are read edge by edge.
     Each coordinate column of the relation matrix says a certain integer
     combination of edge classes vanishes; replacing the tree classes by
     their nontree expressions must leave the zero vector over the basis.
     Over class j that sums the (at most two) nonzeros of the row of e_j and
-    of the signed tree rows along cycle j.  A cycle entry that is not a
-    pair ``(v, sign)`` of ints, with v a vertex below the top and sign ±1,
-    is an ``InputError``.
+    of the signed tree rows along ``tree.cycles[j]``.
     """
-    if len(expr.cycles) != len(tree.nontree_edges):
-        return False
-    extension = tree.extension
-    rows = dict(zip(extension.edges, _relation_rows(extension)))
+    if not isinstance(tree, SpanningTree):
+        raise InputError(f"verify_column_relations needs a SpanningTree, got {excerpt(tree)}")
+    rows = dict(zip(tree.extension.edges, _relation_rows(tree.extension)))
     tree_rows = [rows[e] for e in tree.tree_edges]
-    vertices = range(len(tree_rows))
-    for edge, cycle in zip(tree.nontree_edges, expr.cycles):
+    for edge, cycle in zip(tree.nontree_edges, tree.cycles):
         total = dict(rows[edge])
-        for entry in cycle:
-            if not (
-                type(entry) is tuple
-                and len(entry) == 2
-                and type(entry[0]) is type(entry[1]) is int
-                and entry[0] in vertices
-                and entry[1] in (1, -1)
-            ):
-                raise InputError(
-                    f"cycle entry {excerpt(entry)} is not an int pair (v, ±1) with v in {vertices}"
-                )
-            v, sign = entry
+        for v, sign in cycle:
             for c, a in tree_rows[v].items():
                 total[c] = total.get(c, 0) + sign * a
         if any(total.values()):
@@ -242,28 +212,25 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     Any mismatch raises, since each one is a theorem.
 
     The Fitting-ideal route eliminates ``_top_down_matrix``; the tree
-    route checks its tree once, when ``choose_tree`` builds it.
+    route reads what ``choose_tree``'s tree derived when it was built.
     """
     extension = bound(poset)
     matrix = _top_down_matrix(extension)
     r = matrix.rows
-    n = poset.n
     presentation = AbelianPresentation(matrix)
     group = structure(presentation)
-    expected_rank = r - (n + 1)
+    expected_rank = r - (poset.n + 1)
     if group.torsion_factors or group.free_rank != expected_rank:
         raise InternalInvariantError(
             f"class group of a join-meet ring must be free of rank {expected_rank}, got {group}"
         )
     tree = choose_tree(extension)
-    expr = class_expressions(tree)
-    if any(len({v for v, _ in cycle}) != len(cycle) for cycle in expr.cycles):
+    if any(len({v for v, _ in cycle}) != len(cycle) for cycle in tree.cycles):
         raise InternalInvariantError("fundamental-cycle coefficients must be -1, 0, or 1")
-    if not verify_column_relations(tree, expr):
+    if not verify_column_relations(tree):
         raise InternalInvariantError("tree-class expressions violate the defining relations")
-    canonical = ClassElement((1,) * r)
-    d_tree = math.gcd(*expr.canonical_coords)
-    d_matrix = torsion_number(presentation, canonical)
+    d_tree = math.gcd(*tree.canonical_coords)
+    d_matrix = torsion_number(presentation, ClassElement((1,) * r))
     if d_tree != d_matrix:
         raise InternalInvariantError(
             f"tree-basis torsion number {d_tree} disagrees with the Fitting-ideal value {d_matrix}"
@@ -271,7 +238,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     return ClassGroupReport(
         num_height_one_primes=r,
         group=group,
-        canonical_in_basis=expr.canonical_coords,
+        canonical_in_basis=tree.canonical_coords,
         torsion_number=d_matrix,
         pure=extension.is_graded(),
     )

@@ -133,6 +133,8 @@ class ClassGroupReport:
 
 def cone_report(cone: ConeDescription) -> ClassGroupReport:
     """Class group, canonical class, torsion number, and Gorenstein flag."""
+    if not isinstance(cone, ConeDescription):
+        raise InputError(f"cone_report needs a ConeDescription, got {excerpt(cone)}")
     r = len(cone.forms)
     # one generator per form, one relation per coordinate
     presentation = AbelianPresentation(IntMatrix.from_rows(cone.forms, cols=cone.dim))

@@ -20,7 +20,7 @@ import networkx as nx
 from divclass import IntMatrix, LimitExceededError, Poset, build_poset
 from divclass import sweep
 from divclass.errors import InternalInvariantError
-from divclass.joinmeet import choose_tree, class_expressions
+from divclass.joinmeet import choose_tree
 from divclass.poset import bound, disjoint_chain_pairs, maximal_chains
 
 
@@ -300,7 +300,7 @@ def per_sample_sweep(count, max_n, seed):
 
     It calls ``joinmeet_report`` through the ``sweep`` module, so a test
     that patches it there reaches both loops, and evaluates all five checks
-    itself, reading the cycles from ``class_expressions`` rather than from
+    itself, reading the cycles from ``choose_tree``'s tree rather than from
     the report.
     """
     rng = random.Random(seed)
@@ -322,7 +322,7 @@ def per_sample_sweep(count, max_n, seed):
             poset,
             f"got {report.group}, expected free rank {expected_rank}",
         )
-        cycles = class_expressions(choose_tree(bound(poset))).cycles
+        cycles = choose_tree(bound(poset)).cycles
         summary.record(
             "cycle_coefficients",
             all(len({v for v, _ in cycle}) == len(cycle) for cycle in cycles),

@@ -17,7 +17,6 @@ from divclass import (
     IntMatrix,
     bound,
     choose_tree,
-    class_expressions,
     cone_report,
     determinantal_invariants,
     fitting_number,
@@ -140,9 +139,8 @@ def poset_sweep():
         matrix = relation_matrix(extension)
         snf = smith_normal_form(matrix)
         tree = choose_tree(extension)
-        expr = class_expressions(tree)
-        column_relations_ok = verify_column_relations(tree, expr)
-        d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
+        column_relations_ok = verify_column_relations(tree)
+        d_tree = math.gcd(*(abs(c) for c in tree.canonical_coords))
         presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))
         report = joinmeet_report(poset)

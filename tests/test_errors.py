@@ -9,10 +9,17 @@ from divclass import (
     InputError,
     IntMatrix,
     build_poset,
+    choose_tree,
+    cone_report,
     fitting_number,
     normalize_form,
+    quotient_by,
     run_sweep,
+    smith_normal_form,
     solve_integer,
+    structure,
+    torsion_number,
+    verify_column_relations,
 )
 from divclass.errors import as_tuple, excerpt, integer_vector
 
@@ -146,6 +153,39 @@ def test_integer_vectors_read_as_exact_int_tuples(values, expected):
     assert result == expected and type(result) is tuple
     assert all(type(x) is int for x in result)
     assert as_tuple(values, "vector") == tuple(values) and type(as_tuple(values, "vector")) is tuple
+
+
+Z6 = AbelianPresentation(IntMatrix.from_rows([[6]]))
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: torsion_number(Z6, (4,)), (4,)),
+        (lambda: quotient_by(Z6, [1]), [1]),
+        (lambda: structure(AbelianPresentation([[6]])), [[6]]),
+        (lambda: smith_normal_form([[6]]), [[6]]),
+        (lambda: solve_integer([[1]], [1]), [[1]]),
+        (lambda: cone_report("x"), "x"),
+        (lambda: choose_tree(None), None),
+        (lambda: verify_column_relations(build_poset(["a"])), build_poset(["a"])),
+    ],
+    ids=[
+        "element",
+        "quotient-element",
+        "presentation",
+        "smith",
+        "solve",
+        "cone",
+        "tree-extension",
+        "verified-tree",
+    ],
+)
+def test_wrong_typed_arguments_are_input_errors(call, value):
+    # each read an attribute of the value and raised AttributeError
+    with pytest.raises(InputError) as info:
+        call()
+    assert excerpt(value) in str(info.value)
 
 
 HUGE = 10**5000  # past the interpreter's 4,300-digit limit for writing an int out

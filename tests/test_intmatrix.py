@@ -130,6 +130,14 @@ def test_sparse_width_must_be_an_integer():
         IntMatrix([{0: 1}], 1.5)
 
 
+@pytest.mark.parametrize("rows, cols", [([[1]], True), ([[1, 2]], 2.0), ([], True)])
+def test_dense_width_must_be_an_integer(rows, cols):
+    # True == 1 and 2.0 == 2, so a width compared with the rows' length
+    # before it was read as an integer let both through
+    with pytest.raises(InputError, match="column count must be an integer"):
+        IntMatrix.from_rows(rows, cols=cols)
+
+
 @pytest.mark.parametrize("index", [-1, 2, 5, 7])
 def test_row_and_column_indices_out_of_range(index):
     M = IntMatrix.from_rows([[1, 2], [3, 4]])

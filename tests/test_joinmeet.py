@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import re
@@ -19,7 +20,6 @@ from divclass import (
     bound,
     build_poset,
     choose_tree,
-    class_expressions,
     cone_report,
     joinmeet_report,
     maximal_chains,
@@ -201,77 +201,51 @@ def test_is_graded_raises_on_an_edge_out_of_an_unranked_vertex():
 
 
 def test_class_expressions_chain():
-    extension = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
-    expr = class_expressions(choose_tree(extension))
-    assert expr.canonical_coords == ()
-    assert expr.cycles == ()
+    tree = choose_tree(bound(build_poset(["x1", "x2"], [("x1", "x2")])))
+    assert tree.canonical_coords == ()
+    assert tree.cycles == ()
 
 
 def test_class_expressions_antichain():
-    extension = bound(antichain2())
-    tree = choose_tree(extension)
-    expr = class_expressions(tree)
+    tree = choose_tree(bound(antichain2()))
     # cycle bot -> x2 -> top -> x1 -> bot: +1 on (x2, top), -1 on (bot, x1)
     # and (x1, top); so the canonical coordinate is 1 + (1 - 1 - 1) = 0
-    assert expr.cycles == (((2, 1), (0, -1), (1, -1)),)
-    assert expr.canonical_coords == (0,)
+    assert tree.cycles == (((2, 1), (0, -1), (1, -1)),)
+    assert tree.canonical_coords == (0,)
 
 
 def test_class_expressions_two_chains():
-    extension = bound(two_chains_poset(5, 2))
-    expr = class_expressions(choose_tree(extension))
-    assert tuple(abs(c) for c in expr.canonical_coords) == (3,)
+    tree = choose_tree(bound(two_chains_poset(5, 2)))
+    assert tuple(abs(c) for c in tree.canonical_coords) == (3,)
+
+
+def test_cycles_are_derived_from_the_tree_edges():
+    # like a BoundedPoset's edges, the cycles and the canonical coordinates
+    # are derived on construction and cannot be passed in
+    extension = bound(antichain2())
+    tree = choose_tree(extension)
+    with pytest.raises(TypeError):
+        SpanningTree(extension, tree.tree_edges, tree.nontree_edges, tree.cycles)
+    with pytest.raises(TypeError):
+        SpanningTree(extension, tree.tree_edges, tree.nontree_edges, canonical_coords=(0,))
+
+
+def with_cycles(tree, cycles):
+    """A copy of ``tree`` with its derived cycles overwritten, a state no constructor builds."""
+    corrupted = copy.copy(tree)
+    object.__setattr__(corrupted, "cycles", cycles)
+    return corrupted
 
 
 def test_verify_column_relations():
     for poset in (build_poset(["x1"]), antichain2(), two_chains_poset(3, 1)):
-        tree = choose_tree(bound(poset))
-        assert verify_column_relations(tree, class_expressions(tree))
+        assert verify_column_relations(choose_tree(bound(poset)))
 
 
 def test_verify_rejects_corrupted_expression():
-    from divclass.joinmeet import ClassExpression
-
     tree = choose_tree(bound(antichain2()))
-    expr = class_expressions(tree)
     for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
-        corrupted = ClassExpression((cycle,), expr.canonical_coords)
-        assert not verify_column_relations(tree, corrupted)
-    # fewer cycles than the tree has nontree edges
-    assert len(tree.nontree_edges) == 1
-    assert not verify_column_relations(tree, ClassExpression((), expr.canonical_coords))
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [
-        (-1, 1),
-        (-3, 1),
-        (3, 1),
-        (99, 1),
-        (2, "x"),
-        (2, 1.0),
-        (2, True),
-        (True, 1),
-        (2.0, 1),
-        (2, 2),
-        (2, 0),
-        (2, 1, 0),
-        (2,),
-        [2, 1],
-        2,
-        None,
-    ],
-)
-def test_verify_refuses_a_cycle_entry_that_is_no_vertex_and_sign(entry):
-    # read unchecked, vertex -1 would wrap to the last tree edge and certify
-    # the cycle below, vertex 99 would raise IndexError, sign "x" TypeError,
-    # and the signs 1.0 and True would count as 1
-    tree = choose_tree(bound(antichain2()))
-    assert tree.tree_edges == ((0, 1), (1, 3), (2, 3))
-    assert verify_column_relations(tree, class_expressions(tree))
-    with pytest.raises(InputError, match="is not an int pair"):
-        verify_column_relations(tree, joinmeet.ClassExpression(((entry, (0, -1), (1, -1)),), (0,)))
+        assert not verify_column_relations(with_cycles(tree, (cycle,)))
 
 
 def densify(cycles, rows):
@@ -291,22 +265,22 @@ def test_sparse_cycles_match_dense_oracle():
     for p in posets:
         extension = bound(p)
         tree = choose_tree(extension)
-        expr = class_expressions(tree)
         coeffs, canonical = dense_class_expressions(tree)
-        assert densify(expr.cycles, len(tree.tree_edges)) == coeffs
-        assert expr.canonical_coords == canonical
-        assert all(len({v for v, _ in cycle}) == len(cycle) for cycle in expr.cycles)
-        assert verify_column_relations(tree, expr)
-        if not expr.cycles:
+        assert densify(tree.cycles, len(tree.tree_edges)) == coeffs
+        assert tree.canonical_coords == canonical
+        # each coordinate the report prints is the one read off its certified cycle
+        assert tree.canonical_coords == tuple(1 + sum(s for _, s in c) for c in tree.cycles)
+        assert all(len({v for v, _ in cycle}) == len(cycle) for cycle in tree.cycles)
+        assert verify_column_relations(tree)
+        if not tree.cycles:
             continue
         # every single dropped vertex or flipped sign in one cycle breaks a relation
-        j = rng.randrange(len(expr.cycles))
-        cycle = expr.cycles[j]
+        j = rng.randrange(len(tree.cycles))
+        cycle = tree.cycles[j]
         for k, (v, sign) in enumerate(cycle):
             for changed in (cycle[:k] + cycle[k + 1 :], cycle[:k] + ((v, -sign),) + cycle[k + 1 :]):
-                cycles = expr.cycles[:j] + (changed,) + expr.cycles[j + 1 :]
-                corrupted = joinmeet.ClassExpression(cycles, expr.canonical_coords)
-                assert not verify_column_relations(tree, corrupted)
+                cycles = tree.cycles[:j] + (changed,) + tree.cycles[j + 1 :]
+                assert not verify_column_relations(with_cycles(tree, cycles))
                 mutated += 1
     assert mutated > 2000
 
@@ -380,14 +354,13 @@ def test_tree_independence_of_torsion_number():
     for _ in range(60):
         p = random_poset(rng, 7)
         extension = bound(p)
-        default = class_expressions(choose_tree(extension))
+        default = choose_tree(extension)
         alt_tree = alternate_tree(extension)
-        alt = class_expressions(alt_tree)
-        assert verify_column_relations(alt_tree, alt)
+        assert verify_column_relations(alt_tree)
         d_default = math.gcd(*(abs(c) for c in default.canonical_coords))
-        d_alt = math.gcd(*(abs(c) for c in alt.canonical_coords))
+        d_alt = math.gcd(*(abs(c) for c in alt_tree.canonical_coords))
         assert d_default == d_alt
-        table = densify(alt.cycles, len(alt_tree.tree_edges))
+        table = densify(alt_tree.cycles, len(alt_tree.tree_edges))
         assert table == dense_class_expressions(alt_tree)[0]
         assert all(c in (-1, 0, 1) for row in table for c in row)
 
@@ -424,8 +397,8 @@ def test_cross_method_torsion_on_randoms():
         p = random_poset(rng, 7)
         extension = bound(p)
         matrix = relation_matrix(extension)
-        expr = class_expressions(choose_tree(extension))
-        d_tree = math.gcd(*(abs(c) for c in expr.canonical_coords))
+        tree = choose_tree(extension)
+        d_tree = math.gcd(*(abs(c) for c in tree.canonical_coords))
         presentation = AbelianPresentation(matrix)
         d_matrix = torsion_number(presentation, ClassElement((1,) * matrix.rows))
         assert d_tree == d_matrix
@@ -506,12 +479,12 @@ def test_report_raises_on_impossible_state(monkeypatch):
         joinmeet_report(antichain2())
 
 
-def _repeat_a_tree_edge(expr):
-    """The same expression with the first cycle passing its first tree edge twice."""
-    if not expr.cycles:
-        return expr
-    first = expr.cycles[0]
-    return joinmeet.ClassExpression((first + first[:1],) + expr.cycles[1:], expr.canonical_coords)
+def _repeat_a_tree_edge(tree):
+    """The same tree with its first cycle passing its first tree edge twice."""
+    if not tree.cycles:
+        return tree
+    first = tree.cycles[0]
+    return with_cycles(tree, (first + first[:1],) + tree.cycles[1:])
 
 
 # joinmeet_report is the only home of the sweep's rank_formula and
@@ -533,8 +506,8 @@ def _repeat_a_tree_edge(expr):
             50,
         ),
         (
-            "class_expressions",
-            lambda real: lambda tree: _repeat_a_tree_edge(real(tree)),
+            "choose_tree",
+            lambda real: lambda extension: _repeat_a_tree_edge(real(extension)),
             r"^fundamental-cycle coefficients must be -1, 0, or 1$",
             28,
         ),
@@ -607,14 +580,14 @@ def test_torsion_number_is_the_chain_length_gcd():
         assert joinmeet_report(p).torsion_number == chain_length_gcd(p), p
 
 
-# the report builds its top-down matrix and its tree, checks the tree (in
-# the SpanningTree constructor), and runs each tree step, once
+# the report builds its top-down matrix and its tree, checks the tree and
+# derives its cycles (in the SpanningTree constructor), and verifies them,
+# once
 STEPS = (
     "bound",
     "_top_down_matrix",
     "choose_tree",
     "SpanningTree",
-    "class_expressions",
     "verify_column_relations",
 )
 
@@ -635,7 +608,6 @@ def calls(monkeypatch):
         (poset, "bound"),
         (joinmeet, "_top_down_matrix"),
         (joinmeet, "choose_tree"),
-        (joinmeet, "class_expressions"),
         (joinmeet, "verify_column_relations"),
     ):
         original = getattr(home, name)
