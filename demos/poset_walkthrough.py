@@ -11,8 +11,8 @@ import math
 
 from divclass import (
     AbelianPresentation,
+    BoundedPoset,
     ClassElement,
-    bound,
     build_poset,
     choose_tree,
     joinmeet_report,
@@ -28,11 +28,11 @@ poset = build_poset(
 )
 print("elements in linear-extension order:", poset.labels)
 print("cover relations:", poset.cover_label_pairs())
-print("pure (all maximal chains the same size)?", bound(poset).is_graded())
+print("pure (all maximal chains the same size)?", BoundedPoset(poset).is_graded())
 
 # Bounded extension: new bottom below the minimal elements, new top above
 # the maximal ones.  Every Hasse edge of the extension is one facet.
-extension = bound(poset)
+extension = BoundedPoset(poset)
 print("\nHasse edges of the bounded extension:")
 for u, v in extension.edges:
     print(f"  {extension.vertex_name(u)} -> {extension.vertex_name(v)}")

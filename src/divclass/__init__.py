@@ -41,7 +41,6 @@ from .joinmeet import (
 from .poset import (
     BoundedPoset,
     Poset,
-    bound,
     build_poset,
     maximal_chains,
     two_chains_poset,
@@ -72,7 +71,6 @@ __all__ = [
     "Poset",
     "SmithDecomposition",
     "SpanningTree",
-    "bound",
     "build_poset",
     "choose_tree",
     "cone_report",

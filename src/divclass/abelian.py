@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalInvariantError, as_integer, excerpt, integer_vector
+from .errors import InputError, InternalInvariantError, as_integer, excerpt, integer_vector, require
 from .exact_linalg import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -40,8 +40,7 @@ class AbelianPresentation:
     relations: IntMatrix
 
     def __post_init__(self):
-        if not isinstance(self.relations, IntMatrix):
-            raise InputError(f"a presentation needs an IntMatrix, got {excerpt(self.relations)}")
+        require(self.relations, IntMatrix, "a presentation needs an IntMatrix")
 
     @property
     def generators(self) -> int:
@@ -81,8 +80,8 @@ class ClassElement:
 
 
 def _check_element(p: AbelianPresentation, e: ClassElement):
-    if not isinstance(e, ClassElement):
-        raise InputError(f"an element must be a ClassElement, got {excerpt(e)}")
+    require(p, AbelianPresentation, "a group must be an AbelianPresentation")
+    require(e, ClassElement, "an element must be a ClassElement")
     if len(e.coords) != p.generators:
         raise InputError(
             f"element has {len(e.coords)} coordinates for {p.generators} generators"
@@ -99,7 +98,7 @@ def _diagonal_solution(snf: SmithDecomposition, c: Sequence[int]) -> Optional[li
 
 def structure(p: AbelianPresentation) -> GroupStructure:
     """Invariant-factor decomposition of the presented group."""
-    snf = p.smith
+    snf = require(p, AbelianPresentation, "structure needs an AbelianPresentation").smith
     return GroupStructure(
         free_rank=p.generators - snf.rank,
         torsion_factors=tuple(f for f in snf.invariant_factors if f > 1),
@@ -113,6 +112,7 @@ def fitting_number(p: AbelianPresentation, i: int) -> int:
     while i is below the free rank, first nonzero at the rank, and the
     successive generators divide each other upward.
     """
+    require(p, AbelianPresentation, "fitting_number needs an AbelianPresentation")
     i = as_integer(i, "Fitting index")
     if not 0 <= i <= p.generators:
         raise InputError(f"Fitting index {excerpt(i)} out of range for {p.generators} generators")
@@ -180,8 +180,7 @@ def solve_integer(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     D y = U b and x = V y, where D is diagonal so each coordinate is a
     single exact-divisibility test; y is 0 past the rank.
     """
-    if not isinstance(A, IntMatrix):
-        raise InputError(f"solve_integer needs an IntMatrix, got {excerpt(A)}")
+    require(A, IntMatrix, "solve_integer needs an IntMatrix")
     b = integer_vector(b, "right-hand side")
     if len(b) != A.rows:
         raise InputError(f"right-hand side of length {len(b)} does not match {A.rows} rows")

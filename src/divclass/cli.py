@@ -73,24 +73,24 @@ def _as_int_vector(value, what: str) -> tuple:
     return tuple(_as_int(x, what) for x in value)
 
 
+# The required fields of each mode, then its optional ones, besides "mode".
+_FIELDS = {"poset": (("elements", "relations"), ()), "cone": (("dim", "forms"), ("interior_point",))}
+
+
 def parse_input_document(obj):
     """Validate a decoded JSON object into the Poset or ConeDescription it describes."""
     if not isinstance(obj, dict):
         raise InputError("input document must be a JSON object")
     mode = obj.get("mode")
-    if mode not in ("poset", "cone"):
+    if mode not in ("poset", "cone"):  # by equality: a list or dict mode is refused, not hashed
         raise InputError('input document needs "mode": "poset" or "cone"')
-    poset_fields = {"elements", "relations"}
-    cone_fields = {"dim", "forms", "interior_point"}
-    present = set(obj) - {"mode"}
-    unknown = present - poset_fields - cone_fields
+    required, optional = _FIELDS[mode]
+    unknown = set(obj) - {"mode", *required, *optional}
     if unknown:
-        raise InputError(f"unknown input fields: {excerpt(sorted(unknown))}")
+        raise InputError(f"unknown {mode} mode fields: {excerpt(sorted(unknown, key=str))}")
+    if not set(required) <= set(obj):
+        raise InputError(f"{mode} mode needs " + " and ".join(f'"{name}"' for name in required))
     if mode == "poset":
-        if present & cone_fields:
-            raise InputError("poset mode must not carry cone fields")
-        if not poset_fields <= present:
-            raise InputError('poset mode needs "elements" and "relations"')
         elements = obj["elements"]
         if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
             raise InputError('"elements" must be an array of strings')
@@ -108,10 +108,6 @@ def parse_input_document(obj):
             except UnicodeEncodeError:
                 raise InputError(f"name {excerpt(name)} does not encode as UTF-8") from None
         return build_poset(elements, pairs)
-    if present & poset_fields:
-        raise InputError("cone mode must not carry poset fields")
-    if "dim" not in present or "forms" not in present:
-        raise InputError('cone mode needs "dim" and "forms"')
     dim = _as_int(obj["dim"], '"dim"')
     if not isinstance(obj["forms"], list):
         raise InputError('"forms" must be an array of integer arrays')

@@ -47,6 +47,13 @@ def excerpt(value) -> str:
     return text if len(text) <= 100 else text[:97] + "..."
 
 
+def require(value, kind, needs: str):
+    """``value`` if it is a ``kind``, else the package's one wrong-type ``InputError``."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"{needs}, got {excerpt(value)}")
+
+
 def as_integer(value, what: str) -> int:
     """``value`` as an int through ``operator.index``; a bool or a non-int is an ``InputError``."""
     if not isinstance(value, bool):

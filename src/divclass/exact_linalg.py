@@ -46,6 +46,7 @@ from .errors import (
     as_tuple,
     excerpt,
     integer_vector,
+    require,
 )
 
 
@@ -361,8 +362,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).invariant_factors
     (1, 6)
     """
-    if not isinstance(A, IntMatrix):
-        raise InputError(f"smith_normal_form needs an IntMatrix, got {excerpt(A)}")
+    require(A, IntMatrix, "smith_normal_form needs an IntMatrix")
     m, n = A.rows, A.cols
     # Row i of the store is d[i], row i of D, without zeros.  Every pivot
     # and quotient is read off d alone, and neither U nor V is built here:

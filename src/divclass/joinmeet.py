@@ -12,9 +12,9 @@ form
 and the class group is generated by the corresponding height-one prime
 classes [P_e] subject to the coefficient columns of those forms.  It is
 always free of rank |E| - (n + 1).  ``relation_matrix`` holds each form
-once, as the row of its edge in the order of ``bound``.  The report
-eliminates the same rows top-down, by descending upper endpoint, with the
-columns numbered by first appearance (``_top_down_matrix``): each row then
+once, as the row of its edge in the order of ``BoundedPoset.edges``.  The
+report eliminates the same rows top-down, by descending upper endpoint, with
+the columns numbered by first appearance (``_top_down_matrix``): each row then
 meets the pivot search with its upper endpoint's column already cleared, so
 every pivot is a lone +1 on the diagonal, and the elimination logs no fill,
 no column operation and at most two row additions per edge.  Reordering
@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass, field
 
 from .abelian import AbelianPresentation, ClassElement, structure, torsion_number
-from .errors import InputError, InternalInvariantError, as_tuple, excerpt
+from .errors import InputError, InternalInvariantError, as_tuple, excerpt, require
 from .exact_linalg import IntMatrix
-from .poset import BoundedPoset, Poset, bound
+from .poset import BoundedPoset, Poset
 from .semigroup import ClassGroupReport
 
 
@@ -73,9 +73,7 @@ class SpanningTree:
     canonical_coords: tuple = field(init=False)
 
     def __post_init__(self):
-        extension = self.extension
-        if not isinstance(extension, BoundedPoset):
-            raise InputError(f"a spanning tree needs a BoundedPoset, got {excerpt(extension)}")
+        extension = require(self.extension, BoundedPoset, "a spanning tree needs a BoundedPoset")
         tree_edges = as_tuple(self.tree_edges, "tree edges")
         nontree_edges = as_tuple(self.nontree_edges, "nontree edges")
         object.__setattr__(self, "tree_edges", tree_edges)
@@ -113,7 +111,7 @@ class SpanningTree:
 
 
 def _relation_rows(extension: BoundedPoset) -> list:
-    """The ``{column: coefficient}`` row of each Hasse edge, in the order of ``bound``."""
+    """The ``{column: coefficient}`` row of each Hasse edge, in the order of ``extension.edges``."""
     top = extension.top
     return [{u: 1} if v == top else {u: 1, v: -1} for u, v in extension.edges]
 
@@ -124,6 +122,7 @@ def relation_matrix(extension: BoundedPoset) -> IntMatrix:
     The rows are built through the trusted constructor: each is a fresh dict
     of nonzero ``±1`` entries at columns below ``extension.top``.
     """
+    require(extension, BoundedPoset, "relation_matrix needs a BoundedPoset")
     return IntMatrix._of(extension.top, _relation_rows(extension))
 
 
@@ -157,8 +156,7 @@ def choose_tree(extension: BoundedPoset) -> SpanningTree:
     the nontree classes a basis.  A tree the constructor refuses is an
     ``InternalInvariantError``.
     """
-    if not isinstance(extension, BoundedPoset):
-        raise InputError(f"a spanning tree needs a BoundedPoset, got {excerpt(extension)}")
+    require(extension, BoundedPoset, "a spanning tree needs a BoundedPoset")
     ups: dict = {}
     for u, v in extension.edges:
         ups.setdefault(u, []).append(v)
@@ -187,8 +185,7 @@ def verify_column_relations(tree: SpanningTree) -> bool:
     Over class j that sums the (at most two) nonzeros of the row of e_j and
     of the signed tree rows along ``tree.cycles[j]``.
     """
-    if not isinstance(tree, SpanningTree):
-        raise InputError(f"verify_column_relations needs a SpanningTree, got {excerpt(tree)}")
+    require(tree, SpanningTree, "verify_column_relations needs a SpanningTree")
     rows = dict(zip(tree.extension.edges, _relation_rows(tree.extension)))
     tree_rows = [rows[e] for e in tree.tree_edges]
     for edge, cycle in zip(tree.nontree_edges, tree.cycles):
@@ -214,7 +211,7 @@ def joinmeet_report(poset: Poset) -> ClassGroupReport:
     The Fitting-ideal route eliminates ``_top_down_matrix``; the tree
     route reads what ``choose_tree``'s tree derived when it was built.
     """
-    extension = bound(poset)
+    extension = BoundedPoset(poset)
     matrix = _top_down_matrix(extension)
     r = matrix.rows
     presentation = AbelianPresentation(matrix)

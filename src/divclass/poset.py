@@ -24,6 +24,7 @@ from .errors import (
     as_integer,
     as_tuple,
     excerpt,
+    require,
 )
 
 DEFAULT_CHAIN_LIMIT = 10**6
@@ -43,12 +44,11 @@ class Poset:
 
     def __post_init__(self):
         labels, covers = self.labels, self.covers
-        if not (isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)):
-            raise InputError(f"poset labels must be a tuple of strings, got {excerpt(labels)}")
+        for label in require(labels, tuple, "poset labels must be a tuple of strings"):
+            require(label, str, "a poset label must be a string")
         if len(set(labels)) != len(labels):
             raise InputError("poset labels must be distinct")
-        if not isinstance(covers, frozenset):
-            raise InputError(f"poset covers must be a frozenset of index pairs, got {excerpt(covers)}")
+        require(covers, frozenset, "poset covers must be a frozenset of index pairs")
         n = len(labels)
         ups = [[] for _ in range(n)]
         for pair in covers:
@@ -112,9 +112,7 @@ class BoundedPoset:
     edges: tuple = field(init=False)
 
     def __post_init__(self):
-        poset = self.base
-        if not isinstance(poset, Poset):
-            raise InputError(f"a bounded extension needs a Poset, got {excerpt(poset)}")
+        poset = require(self.base, Poset, "a bounded extension needs a Poset")
         n = poset.n
         internal = sorted((i + 1, j + 1) for i, j in poset.covers)
         bottom_edges = [(BOTTOM, i + 1) for i in poset.minimals()]
@@ -214,17 +212,13 @@ def _reduction(ups: Sequence[Iterable[int]]) -> list:
     return covers
 
 
-def bound(poset: Poset) -> BoundedPoset:
-    """Bounded extension with its deterministic edge enumeration."""
-    return BoundedPoset(poset)
-
-
 def maximal_chains(poset: Poset, limit: int = DEFAULT_CHAIN_LIMIT) -> list:
     """All maximal chains as index tuples, in depth-first enumeration order.
 
     An explicit stack of (element, chain length) replaces recursion, so a
     long chain costs no call depth; up covers are pushed in reverse order.
     """
+    require(poset, Poset, "maximal_chains needs a Poset")
     limit = as_integer(limit, "chain limit")
     chains: list = []
     chain: list = []

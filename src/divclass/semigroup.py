@@ -26,7 +26,7 @@ from .abelian import (
     structure,
     torsion_and_free_coordinates,
 )
-from .errors import InputError, LimitExceededError, as_integer, as_tuple, excerpt, integer_vector
+from .errors import InputError, LimitExceededError, as_integer, as_tuple, excerpt, integer_vector, require
 from .exact_linalg import IntMatrix
 
 # The most form entries (forms x dimension) a built-in family may build.
@@ -133,8 +133,7 @@ class ClassGroupReport:
 
 def cone_report(cone: ConeDescription) -> ClassGroupReport:
     """Class group, canonical class, torsion number, and Gorenstein flag."""
-    if not isinstance(cone, ConeDescription):
-        raise InputError(f"cone_report needs a ConeDescription, got {excerpt(cone)}")
+    require(cone, ConeDescription, "cone_report needs a ConeDescription")
     r = len(cone.forms)
     # one generator per form, one relation per coordinate
     presentation = AbelianPresentation(IntMatrix.from_rows(cone.forms, cols=cone.dim))

@@ -17,11 +17,11 @@ from itertools import combinations, product
 
 import networkx as nx
 
-from divclass import IntMatrix, LimitExceededError, Poset, build_poset
+from divclass import BoundedPoset, IntMatrix, LimitExceededError, Poset, build_poset
 from divclass import sweep
 from divclass.errors import InternalInvariantError
 from divclass.joinmeet import choose_tree
-from divclass.poset import bound, disjoint_chain_pairs, maximal_chains
+from divclass.poset import disjoint_chain_pairs, maximal_chains
 
 
 def det_cofactor(rows):
@@ -322,7 +322,7 @@ def per_sample_sweep(count, max_n, seed):
             poset,
             f"got {report.group}, expected free rank {expected_rank}",
         )
-        cycles = choose_tree(bound(poset)).cycles
+        cycles = choose_tree(BoundedPoset(poset)).cycles
         summary.record(
             "cycle_coefficients",
             all(len({v for v, _ in cycle}) == len(cycle) for cycle in cycles),

@@ -13,9 +13,9 @@ import pytest
 
 from divclass import (
     AbelianPresentation,
+    BoundedPoset,
     ClassElement,
     IntMatrix,
-    bound,
     choose_tree,
     cone_report,
     determinantal_invariants,
@@ -135,7 +135,7 @@ def poset_sweep():
     t0 = time.perf_counter()
     for index in range(SWEEP_COUNT):
         poset = random_poset(rng, SWEEP_MAX_N)
-        extension = bound(poset)
+        extension = BoundedPoset(poset)
         matrix = relation_matrix(extension)
         snf = smith_normal_form(matrix)
         tree = choose_tree(extension)

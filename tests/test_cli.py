@@ -262,10 +262,13 @@ def test_mode_field_validation():
         parse_input_document({"mode": "poset", "elements": ["a"], "relations": [], "dim": 1})
     with pytest.raises(InputError):
         parse_input_document({"mode": "cone", "dim": 1})
-    with pytest.raises(InputError):
-        parse_input_document({"mode": "sphere"})
+    for mode in ("sphere", [], {}):
+        with pytest.raises(InputError, match='needs "mode"'):
+            parse_input_document({"mode": mode})
     with pytest.raises(InputError):
         parse_input_document({"mode": "cone", "dim": 1, "forms": [[1]], "elements": []})
+    with pytest.raises(InputError, match=r"unknown poset mode fields: \[1, 'a'\]"):
+        parse_input_document({"mode": "poset", "elements": [], "relations": [], 1: 2, "a": 3})
     with pytest.raises(InputError):
         parse_input_document([1, 2])
     with pytest.raises(InputError, match='poset mode needs "elements" and "relations"'):

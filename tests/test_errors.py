@@ -1,7 +1,10 @@
 """The shared input guards of ``divclass.errors``, read through every public entry point."""
 
+import inspect
+
 import pytest
 
+import divclass
 from divclass import (
     AbelianPresentation,
     ClassElement,
@@ -21,6 +24,7 @@ from divclass import (
     torsion_number,
     verify_column_relations,
 )
+from divclass.abelian import torsion_and_free_coordinates
 from divclass.errors import as_tuple, excerpt, integer_vector
 
 M = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -186,6 +190,34 @@ def test_wrong_typed_arguments_are_input_errors(call, value):
     with pytest.raises(InputError) as info:
         call()
     assert excerpt(value) in str(info.value)
+
+
+# valid arguments after the first, for each public function that takes more
+ONE = ClassElement((1,))
+REST = {
+    "determinantal_invariants": (2,),
+    "fitting_number": (0,),
+    "quotient_by": (ONE,),
+    "run_sweep": (10, 1),
+    "segre_veronese_cone": (1, 2, 1),
+    "solve_integer": ((1,),),
+    "torsion_and_free_coordinates": (ONE,),
+    "torsion_number": (ONE,),
+    "two_chains_poset": (0,),
+    "veronese_cone": (1,),
+}
+DOORS = {name: getattr(divclass, name) for name in divclass.__all__}
+DOORS = {name: value for name, value in DOORS.items() if inspect.isfunction(value)}
+DOORS["torsion_and_free_coordinates"] = torsion_and_free_coordinates
+
+
+@pytest.mark.parametrize("name", sorted(DOORS))
+def test_every_public_function_refuses_a_wrong_typed_first_argument(name):
+    # no public door may pass a wrong type on to an AttributeError deeper in
+    wrong = object()
+    with pytest.raises(InputError) as info:
+        DOORS[name](wrong, *REST.get(name, ()))
+    assert excerpt(wrong) in str(info.value)
 
 
 HUGE = 10**5000  # past the interpreter's 4,300-digit limit for writing an int out

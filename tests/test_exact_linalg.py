@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from divclass import (
     AbelianPresentation,
+    BoundedPoset,
     InputError,
     IntMatrix,
-    bound,
     fitting_number,
     relation_matrix,
     smith_normal_form,
@@ -144,7 +144,7 @@ def test_solve_two_chains_all_ones():
     # so the all-ones vector must lie in the column span; verify by multiplying
     from divclass import two_chains_poset
 
-    A = relation_matrix(bound(two_chains_poset(2, 2)))
+    A = relation_matrix(BoundedPoset(two_chains_poset(2, 2)))
     b = [1] * A.rows
     x = solve_integer(A, b)
     assert x is not None
@@ -232,7 +232,7 @@ def pinned_corpus():
         m, n = rng.randint(12, 24), rng.randint(10, 18)
         yield IntMatrix.from_rows([[rng.randint(-(10**3), 10**3) for _ in range(n)] for _ in range(m)])
     for _ in range(200):
-        yield relation_matrix(bound(random_poset(rng, 10)))
+        yield relation_matrix(BoundedPoset(random_poset(rng, 10)))
 
 
 def test_smith_decompositions_pinned():
@@ -271,7 +271,7 @@ def test_sparse_check_rejects_every_single_entry_change():
     # verdict be.
     rng = random.Random(8)
     matrices = [random_matrix(rng)[0] for _ in range(200)]
-    matrices += [relation_matrix(bound(random_poset(rng, 10))) for _ in range(50)]
+    matrices += [relation_matrix(BoundedPoset(random_poset(rng, 10))) for _ in range(50)]
     rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
@@ -314,6 +314,15 @@ def test_product_check_rejects_a_dropped_column_update(monkeypatch):
     with pytest.raises(InternalInvariantError, match="do not carry"):
         smith_normal_form(A)
     assert dropped == [("column", 0, 1, 1)]
+
+
+def test_divisibility_check_rejects_a_skipped_fix_up(monkeypatch):
+    # On diag(2, 3) the fix-up finds row 1 not divisible by the pivot 2 and
+    # folds it in; with next shadowed in the module it finds no offender, so
+    # the elimination ends with the factors (2, 3), which the check refuses
+    monkeypatch.setattr(exact_linalg, "next", lambda *args: None, raising=False)
+    with pytest.raises(InternalInvariantError, match=r"invariant factors \(2, 3\) violate divisibility"):
+        smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
 
 
 def corrupted_column_logs(ops):
@@ -369,7 +378,7 @@ def test_product_check_rejects_every_corrupted_column_log(monkeypatch):
         A, _ = random_matrix(rng)
         if A.cols and smith_normal_form(A).rank == A.cols:
             matrices.append(A)
-    matrices += [relation_matrix(bound(random_poset(rng, 8))) for _ in range(10)]
+    matrices += [relation_matrix(BoundedPoset(random_poset(rng, 8))) for _ in range(10)]
     rejected = changes = 0
     for A in matrices:
         snf = smith_normal_form(A)
@@ -484,7 +493,7 @@ def at_scale_corpus():
         p = random_poset(rng, 100)
         if p.n >= 60:
             posets.append(p)
-    return [relation_matrix(bound(p)) for p in posets]
+    return [relation_matrix(BoundedPoset(p)) for p in posets]
 
 
 def test_smith_decompositions_pinned_at_scale():
@@ -513,11 +522,11 @@ def matches_dense_elimination(A):
 
 
 def test_sparse_store_matches_dense_elimination_on_posets():
-    # each poset's relation matrix in the order of bound, and in the
+    # each poset's relation matrix in edge order, and in the
     # top-down order that joinmeet_report eliminates
     rng = random.Random(20261020)
     for _ in range(2000):
-        extension = bound(random_poset(rng, 10))
+        extension = BoundedPoset(random_poset(rng, 10))
         matches_dense_elimination(relation_matrix(extension))
         matches_dense_elimination(_top_down_matrix(extension))
 
@@ -551,7 +560,7 @@ def test_sparse_store_matches_dense_elimination_on_dense_matrices():
 
 def test_sparse_store_matches_dense_elimination_on_layered_posets():
     for n in (40, 80, 160, 320):
-        matches_dense_elimination(relation_matrix(bound(layered_poset(n))))
+        matches_dense_elimination(relation_matrix(BoundedPoset(layered_poset(n))))
 
 
 def test_sparse_products_match_dense_transforms():

@@ -17,7 +17,6 @@ from divclass import (
     InternalInvariantError,
     IntMatrix,
     SpanningTree,
-    bound,
     build_poset,
     choose_tree,
     cone_report,
@@ -40,56 +39,56 @@ def antichain2():
 
 
 def test_support_forms_antichain():
-    # one support-form row per Hasse edge in the order of bound, columns z_0..z_n
-    extension = bound(antichain2())
+    # one support-form row per Hasse edge in edge order, columns z_0..z_n
+    extension = BoundedPoset(antichain2())
     assert relation_matrix(extension).to_lists() == [[1, -1, 0], [1, 0, -1], [0, 1, 0], [0, 0, 1]]
     assert extension.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
 def test_support_forms_single_chain():
-    extension = bound(build_poset(["x1", "x2"], [("x1", "x2")]))
+    extension = BoundedPoset(build_poset(["x1", "x2"], [("x1", "x2")]))
     # internal cover first, then the bottom edge, then the top edge
     assert extension.edges == ((1, 2), (0, 1), (2, 3))
     assert relation_matrix(extension).to_lists() == [[0, 1, -1], [1, -1, 0], [0, 0, 1]]
 
 
 def test_support_forms_empty_poset():
-    extension = bound(build_poset([]))
+    extension = BoundedPoset(build_poset([]))
     assert relation_matrix(extension).to_lists() == [[1]]
     assert extension.edges == ((0, 1),)
 
 
 def test_relation_matrix_examples():
-    assert relation_matrix(bound(antichain2())) == IntMatrix.from_rows(
+    assert relation_matrix(BoundedPoset(antichain2())) == IntMatrix.from_rows(
         [[1, -1, 0], [1, 0, -1], [0, 1, 0], [0, 0, 1]]
     )
-    assert relation_matrix(bound(build_poset(["x1"]))) == IntMatrix.from_rows([[1, -1], [0, 1]])
-    assert relation_matrix(bound(build_poset([]))) == IntMatrix.from_rows([[1]])
+    assert relation_matrix(BoundedPoset(build_poset(["x1"]))) == IntMatrix.from_rows([[1, -1], [0, 1]])
+    assert relation_matrix(BoundedPoset(build_poset([]))) == IntMatrix.from_rows([[1]])
 
 
 def test_trusted_relation_matrix_matches_the_validating_constructor():
     rng = random.Random(1)
     for _ in range(300):
-        extension = bound(random_poset(rng, 10))
+        extension = BoundedPoset(random_poset(rng, 10))
         validated = IntMatrix(_relation_rows(extension), cols=extension.top)
         matrix = relation_matrix(extension)
         assert matrix == validated and hash(matrix) == hash(validated)
 
 
 def test_choose_tree_chain():
-    tree = choose_tree(bound(build_poset(["x1", "x2"], [("x1", "x2")])))
+    tree = choose_tree(BoundedPoset(build_poset(["x1", "x2"], [("x1", "x2")])))
     assert tree.tree_edges == ((0, 1), (1, 2), (2, 3))
     assert tree.nontree_edges == ()
 
 
 def test_choose_tree_antichain():
-    tree = choose_tree(bound(antichain2()))
+    tree = choose_tree(BoundedPoset(antichain2()))
     assert tree.tree_edges == ((0, 1), (1, 3), (2, 3))
     assert tree.nontree_edges == ((0, 2),)
 
 
 def test_choose_tree_two_chains():
-    extension = bound(two_chains_poset(1, 1))
+    extension = BoundedPoset(two_chains_poset(1, 1))
     tree = choose_tree(extension)
     assert len(tree.tree_edges) == 5
     assert len(tree.nontree_edges) == 1
@@ -99,7 +98,7 @@ def test_tree_rows_upper_triangular():
     rng = random.Random(21)
     for _ in range(60):
         p = random_poset(rng, 7)
-        extension = bound(p)
+        extension = BoundedPoset(p)
         tree = choose_tree(extension)
         coeffs = dict(zip(extension.edges, relation_matrix(extension).to_lists()))
         for v, edge in enumerate(tree.tree_edges):
@@ -108,13 +107,13 @@ def test_tree_rows_upper_triangular():
             assert all(row[w] == 0 for w in range(v))
 
 
-# a two-element chain a < b: bound gives the edges (1, 2), (0, 1) and (2, 3)
+# a two-element chain a < b: its extension has the edges (1, 2), (0, 1) and (2, 3)
 CHAIN2 = build_poset(["a", "b"], [("a", "b")])
 
 
 def with_edges(poset, edges):
-    """``bound(poset)`` with its derived edges overwritten, a state no constructor builds."""
-    extension = bound(poset)
+    """``BoundedPoset(poset)`` with its derived edges overwritten, a state no constructor builds."""
+    extension = BoundedPoset(poset)
     object.__setattr__(extension, "edges", edges)
     return extension
 
@@ -123,8 +122,8 @@ def test_tree_of_another_extension_is_input_error():
     # a tree carries its extension, so the tree steps cannot be handed a
     # tree of another one; the edges of another extension, or of this one
     # with a vertex's tree edge moved to the nontree edges, build no tree
-    e1 = bound(two_chains_poset(2, 1))
-    e2 = bound(build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]))
+    e1 = BoundedPoset(two_chains_poset(2, 1))
+    e2 = BoundedPoset(build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")]))
     t2 = choose_tree(e2)
     with pytest.raises(InputError, match="do not partition"):
         SpanningTree(e1, t2.tree_edges, t2.nontree_edges)
@@ -150,11 +149,11 @@ def test_malformed_spanning_tree_is_input_error(fields, message):
     # each field is read as a tuple and each edge must be an int pair before
     # the edges are sorted against the extension's, which would raise TypeError
     with pytest.raises(InputError, match=message):
-        SpanningTree(bound(antichain2()), *fields)
+        SpanningTree(BoundedPoset(antichain2()), *fields)
 
 
 def test_spanning_tree_reads_its_edge_fields_as_tuples():
-    extension = bound(antichain2())
+    extension = BoundedPoset(antichain2())
     tree = choose_tree(extension)
     listed = SpanningTree(extension, list(tree.tree_edges), list(tree.nontree_edges))
     assert listed == tree and hash(listed) == hash(tree)
@@ -171,12 +170,12 @@ def test_an_extension_is_derived_from_its_poset():
     with pytest.raises(TypeError):
         BoundedPoset(build_poset(["a"]), ((0, 5),))
     with pytest.raises(TypeError):
-        BoundedPoset(CHAIN2, bound(CHAIN2).edges + ((1, 3),))
+        BoundedPoset(CHAIN2, BoundedPoset(CHAIN2).edges + ((1, 3),))
     with pytest.raises(TypeError):
         BoundedPoset(base=CHAIN2, edges=((0, 1),))
-    assert BoundedPoset(CHAIN2) == bound(CHAIN2)
+    assert BoundedPoset(CHAIN2) == BoundedPoset(CHAIN2)
     assert choose_tree(BoundedPoset(CHAIN2)).nontree_edges == ()
-    for base in (None, "ab", ("a", "b"), bound(CHAIN2)):
+    for base in (None, "ab", ("a", "b"), BoundedPoset(CHAIN2)):
         with pytest.raises(InputError, match="needs a Poset"):
             BoundedPoset(base)
 
@@ -201,13 +200,13 @@ def test_is_graded_raises_on_an_edge_out_of_an_unranked_vertex():
 
 
 def test_class_expressions_chain():
-    tree = choose_tree(bound(build_poset(["x1", "x2"], [("x1", "x2")])))
+    tree = choose_tree(BoundedPoset(build_poset(["x1", "x2"], [("x1", "x2")])))
     assert tree.canonical_coords == ()
     assert tree.cycles == ()
 
 
 def test_class_expressions_antichain():
-    tree = choose_tree(bound(antichain2()))
+    tree = choose_tree(BoundedPoset(antichain2()))
     # cycle bot -> x2 -> top -> x1 -> bot: +1 on (x2, top), -1 on (bot, x1)
     # and (x1, top); so the canonical coordinate is 1 + (1 - 1 - 1) = 0
     assert tree.cycles == (((2, 1), (0, -1), (1, -1)),)
@@ -215,14 +214,14 @@ def test_class_expressions_antichain():
 
 
 def test_class_expressions_two_chains():
-    tree = choose_tree(bound(two_chains_poset(5, 2)))
+    tree = choose_tree(BoundedPoset(two_chains_poset(5, 2)))
     assert tuple(abs(c) for c in tree.canonical_coords) == (3,)
 
 
 def test_cycles_are_derived_from_the_tree_edges():
     # like a BoundedPoset's edges, the cycles and the canonical coordinates
     # are derived on construction and cannot be passed in
-    extension = bound(antichain2())
+    extension = BoundedPoset(antichain2())
     tree = choose_tree(extension)
     with pytest.raises(TypeError):
         SpanningTree(extension, tree.tree_edges, tree.nontree_edges, tree.cycles)
@@ -239,11 +238,11 @@ def with_cycles(tree, cycles):
 
 def test_verify_column_relations():
     for poset in (build_poset(["x1"]), antichain2(), two_chains_poset(3, 1)):
-        assert verify_column_relations(choose_tree(bound(poset)))
+        assert verify_column_relations(choose_tree(BoundedPoset(poset)))
 
 
 def test_verify_rejects_corrupted_expression():
-    tree = choose_tree(bound(antichain2()))
+    tree = choose_tree(BoundedPoset(antichain2()))
     for cycle in (((2, 1), (0, 1), (1, -1)), ((2, 1), (1, -1))):  # a sign flipped, a vertex dropped
         assert not verify_column_relations(with_cycles(tree, (cycle,)))
 
@@ -263,7 +262,7 @@ def test_sparse_cycles_match_dense_oracle():
     posets += [layered_poset(n) for n in (20, 40, 80, 160)]
     mutated = 0
     for p in posets:
-        extension = bound(p)
+        extension = BoundedPoset(p)
         tree = choose_tree(extension)
         coeffs, canonical = dense_class_expressions(tree)
         assert densify(tree.cycles, len(tree.tree_edges)) == coeffs
@@ -315,7 +314,7 @@ def test_rank_formula_and_freeness():
     for _ in range(80):
         p = random_poset(rng, 7)
         rep = joinmeet_report(p)
-        assert rep.group.free_rank == len(bound(p).edges) - (p.n + 1)
+        assert rep.group.free_rank == len(BoundedPoset(p).edges) - (p.n + 1)
         assert rep.group.torsion_factors == ()
 
 
@@ -353,7 +352,7 @@ def test_tree_independence_of_torsion_number():
     rng = random.Random(55)
     for _ in range(60):
         p = random_poset(rng, 7)
-        extension = bound(p)
+        extension = BoundedPoset(p)
         default = choose_tree(extension)
         alt_tree = alternate_tree(extension)
         assert verify_column_relations(alt_tree)
@@ -395,7 +394,7 @@ def test_cross_method_torsion_on_randoms():
     rng = random.Random(70)
     for _ in range(60):
         p = random_poset(rng, 7)
-        extension = bound(p)
+        extension = BoundedPoset(p)
         matrix = relation_matrix(extension)
         tree = choose_tree(extension)
         d_tree = math.gcd(*(abs(c) for c in tree.canonical_coords))
@@ -434,7 +433,7 @@ def test_report_matrix_permutes_the_relation_matrix(monkeypatch):
     posets = [layered_poset(n) for n in range(20, 161, 20)]
     posets += [random_poset(rng, 10) for _ in range(500)]
     for p in posets:
-        extension = bound(p)
+        extension = BoundedPoset(p)
         matrix = report_presentation(monkeypatch, p).relations
         dense = relation_matrix(extension).to_lists()
         row_of, col_of = top_down_bijections(extension)
@@ -549,7 +548,7 @@ def test_cone_mode_agrees_with_poset_mode():
     rng = random.Random(80)
     for _ in range(300):
         p = random_poset(rng, 7)
-        coeffs = relation_matrix(bound(p)).to_lists()
+        coeffs = relation_matrix(BoundedPoset(p)).to_lists()
         rep = joinmeet_report(p)
         cone = cone_report(ConeDescription(p.n + 1, coeffs))
         assert (cone.group, cone.torsion_number, cone.gorenstein, cone.num_height_one_primes) == (
@@ -580,11 +579,11 @@ def test_torsion_number_is_the_chain_length_gcd():
         assert joinmeet_report(p).torsion_number == chain_length_gcd(p), p
 
 
-# the report builds its top-down matrix and its tree, checks the tree and
-# derives its cycles (in the SpanningTree constructor), and verifies them,
-# once
+# the report builds its bounded extension, its top-down matrix and its tree,
+# checks the tree and derives its cycles (in the SpanningTree constructor),
+# and verifies them, once
 STEPS = (
-    "bound",
+    "BoundedPoset",
     "_top_down_matrix",
     "choose_tree",
     "SpanningTree",
@@ -596,16 +595,15 @@ STEPS = (
 def calls(monkeypatch):
     """Counts calls, through every divclass reference, to the poset-mode steps."""
     counts = Counter()
-    check = joinmeet.SpanningTree.__post_init__
+    for cls in (poset.BoundedPoset, joinmeet.SpanningTree):
 
-    def counting_check(tree):
-        counts["SpanningTree"] += 1
-        check(tree)
+        def counting_init(value, _init=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(value)
 
-    monkeypatch.setattr(joinmeet.SpanningTree, "__post_init__", counting_check)
+        monkeypatch.setattr(cls, "__post_init__", counting_init)
     for home, name in (
         (poset, "build_poset"),
-        (poset, "bound"),
         (joinmeet, "_top_down_matrix"),
         (joinmeet, "choose_tree"),
         (joinmeet, "verify_column_relations"),

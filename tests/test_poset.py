@@ -3,10 +3,10 @@ import random
 import pytest
 
 from divclass import (
+    BoundedPoset,
     InputError,
     LimitExceededError,
     Poset,
-    bound,
     build_poset,
     maximal_chains,
     two_chains_poset,
@@ -167,19 +167,19 @@ def test_stable_topological_relabeling():
 
 
 def test_bound_empty():
-    b = bound(build_poset([]))
+    b = BoundedPoset(build_poset([]))
     assert b.edges == ((0, 1),)
     assert b.top == 1
     assert b.vertex_name(0) == "bot" and b.vertex_name(1) == "top"
 
 
 def test_bound_two_chains_1_1():
-    b = bound(two_chains_poset(1, 1))
+    b = BoundedPoset(two_chains_poset(1, 1))
     assert len(b.edges) == 6  # 2 covers + 2 minimal + 2 maximal
 
 
 def test_bound_antichain():
-    b = bound(build_poset(["x1", "x2"]))
+    b = BoundedPoset(build_poset(["x1", "x2"]))
     assert b.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
@@ -187,7 +187,7 @@ def test_bound_edge_count_formula():
     rng = random.Random(10)
     for _ in range(60):
         p = random_poset(rng, 7)
-        b = bound(p)
+        b = BoundedPoset(p)
         if p.n == 0:
             assert len(b.edges) == 1
         else:
@@ -195,10 +195,10 @@ def test_bound_edge_count_formula():
 
 
 def test_is_pure_examples():
-    assert bound(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])).is_graded()
-    assert not bound(two_chains_poset(5, 2)).is_graded()
-    assert bound(build_poset([f"x{i}" for i in range(4)])).is_graded()
-    assert bound(build_poset([])).is_graded()
+    assert BoundedPoset(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])).is_graded()
+    assert not BoundedPoset(two_chains_poset(5, 2)).is_graded()
+    assert BoundedPoset(build_poset([f"x{i}" for i in range(4)])).is_graded()
+    assert BoundedPoset(build_poset([])).is_graded()
 
 
 def test_is_pure_against_brute_force():
@@ -206,7 +206,7 @@ def test_is_pure_against_brute_force():
     for _ in range(150):
         p = random_poset(rng, 7)
         sizes = brute_maximal_chain_cardinalities(p.n, p.covers)
-        assert bound(p).is_graded() == (len(set(sizes)) <= 1)
+        assert BoundedPoset(p).is_graded() == (len(set(sizes)) <= 1)
 
 
 def test_maximal_chains_two_chains():

@@ -7,13 +7,13 @@ import pytest
 
 from divclass import (
     AbelianPresentation,
+    BoundedPoset,
     ClassElement,
     ConeDescription,
     GroupStructure,
     InputError,
     IntMatrix,
     LimitExceededError,
-    bound,
     cone_report,
     determinantal_invariants,
     fitting_number,
@@ -251,7 +251,7 @@ def test_cone_mode_matches_poset_mode():
     for _ in range(40):
         p = random_poset(rng, 6)
         poset_rep = joinmeet_report(p)
-        forms = relation_matrix(bound(p)).to_lists()
+        forms = relation_matrix(BoundedPoset(p)).to_lists()
         cone_rep = cone_report(ConeDescription(p.n + 1, forms))
         assert cone_rep.group == poset_rep.group
         assert cone_rep.torsion_number == poset_rep.torsion_number
